@@ -9,10 +9,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"runtime"
-	"sync"
 	"testing"
 
 	"patlabor/internal/core"
@@ -223,8 +221,8 @@ func BenchmarkRouteAll(b *testing.B) {
 }
 
 // BenchmarkScaling is the scalability harness: one fixed mixed batch
-// swept over worker-pool widths × cache modes, the grid scripts/bench.sh
-// pr9 freezes into BENCH_PR9.json. cache=on shares one sub-frontier memo
+// swept over worker-pool widths × cache modes, the grid BENCH_PR9.json
+// froze. cache=on shares one sub-frontier memo
 // and the batch dedup across workers (the contended configuration the
 // sharded SubCache exists for); cache=off routes every net from scratch
 // (the embarrassingly parallel upper bound — any scaling gap between the
@@ -276,14 +274,14 @@ func BenchmarkScaling(b *testing.B) {
 // (minutes per op). workers=max fans the per-cluster subproblems over
 // GOMAXPROCS workers; results are byte-identical at any worker count (the
 // differential test in internal/hier enforces it), so the workers rows
-// differ only in wall clock. scripts/bench.sh pr7 records this suite in
-// BENCH_PR7.json against the frozen flat baseline.
+// differ only in wall clock. BENCH_PR7.json froze this suite against the
+// flat baseline.
 func BenchmarkHugeNet(b *testing.B) {
 	for _, deg := range []int{64, 256, 1024, 4096} {
 		rng := rand.New(rand.NewSource(int64(3000 + deg)))
 		net := netgen.MegaClustered(rng, deg, 1000000, deg/80+2, 30000)
 		// Warm the shared lookup table outside the timed region.
-		if _, err := hier.Route(net, hier.Options{Crossover: 32}); err != nil {
+		if _, err := hier.RouteContext(context.Background(), net, hier.Options{Crossover: 32}); err != nil {
 			b.Fatal(err)
 		}
 		for _, w := range []struct {
@@ -295,7 +293,7 @@ func BenchmarkHugeNet(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					items, err := hier.Route(net, opts)
+					items, err := hier.RouteContext(context.Background(), net, opts)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -310,7 +308,7 @@ func BenchmarkHugeNet(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := core.Route(net, core.Options{}); err != nil {
+					if _, err := core.RouteContext(context.Background(), net, core.Options{}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -334,7 +332,7 @@ func benchExact(b *testing.B, n int) {
 	net := benchNet(n, int64(n))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dw.FrontierSols(net, dw.DefaultOptions()); err != nil {
+		if _, err := dw.FrontierSolsContext(context.Background(), net, dw.DefaultOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -345,7 +343,7 @@ func BenchmarkExactFrontierNoPruning(b *testing.B) {
 	net := benchNet(7, 7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dw.FrontierSols(net, dw.Options{}); err != nil {
+		if _, err := dw.FrontierSolsContext(context.Background(), net, dw.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -365,9 +363,8 @@ func BenchmarkLUTQueryDegree5(b *testing.B) {
 // BenchmarkLUTQuery measures the per-net lookup-table query cost and
 // allocation count per covered degree, cycling through a pool of random
 // nets so one pattern's frontier shape does not dominate. This is the
-// per-net latency floor of the batch engine's small-net path; scripts/
-// bench.sh records it in BENCH_PR2.json and EXPERIMENTS.md tracks the
-// trajectory.
+// per-net latency floor of the batch engine's small-net path;
+// BENCH_PR2.json froze it and EXPERIMENTS.md tracks the trajectory.
 func BenchmarkLUTQuery(b *testing.B) {
 	table := lut.Default()
 	for d := 2; d <= 5; d++ {
@@ -397,7 +394,7 @@ func BenchmarkLUTQuery(b *testing.B) {
 // single net's frontier shape dominates; each Route carries its own
 // sub-frontier memo (windows recur across iterations within one search),
 // which is the cold-batch case — cross-net reuse only makes the engine
-// faster still. scripts/bench.sh pr4 records it in BENCH_PR4.json.
+// faster still. BENCH_PR4.json froze it.
 func BenchmarkLocalSearch(b *testing.B) {
 	for _, n := range []int{16, 32, 64} {
 		b.Run(fmt.Sprintf("degree=%d", n), func(b *testing.B) {
@@ -407,13 +404,13 @@ func BenchmarkLocalSearch(b *testing.B) {
 				nets[i] = netgen.Clustered(rng, n, 100000, 4000)
 			}
 			// Warm the shared lookup table outside the timed region.
-			if _, err := core.Route(nets[0], core.Options{}); err != nil {
+			if _, err := core.RouteContext(context.Background(), nets[0], core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Route(nets[i%len(nets)], core.Options{}); err != nil {
+				if _, err := core.RouteContext(context.Background(), nets[i%len(nets)], core.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -425,7 +422,7 @@ func BenchmarkPatLaborLargeNet(b *testing.B) {
 	net := benchNet(30, 30)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Route(net, core.Options{Lambda: 7}); err != nil {
+		if _, err := core.RouteContext(context.Background(), net, core.Options{Lambda: 7}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -443,7 +440,7 @@ func BenchmarkYSDSweepLargeNet(b *testing.B) {
 	net := benchNet(30, 32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ysd.Sweep(net, nil); err != nil {
+		if _, err := ysd.SweepContext(context.Background(), net, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -494,13 +491,13 @@ func BenchmarkElmoreEvaluation(b *testing.B) {
 // BenchmarkReroute measures ECO mode against from-scratch routing on a
 // churning net: per step, fraction×degree pins receive edits (minimum
 // one) and the post-edit frontier is recomputed. mode=full routes every
-// post-edit net from scratch with core.Route (no shared caches — the
+// post-edit net from scratch with core.RouteContext (no shared caches — the
 // honest baseline); mode=eco replays the identical deterministic stream
 // through a Session handle. RevertPercent 70 models the low-acceptance
 // try/rollback loop of a timing ECO — most tried edits are measured and
 // undone, walking back down the undo stack to a geometry routed before,
 // the case the net-level memo answers without routing. BENCH_PR6.json
-// records both sides (scripts/bench.sh pr6).
+// froze both sides.
 func BenchmarkReroute(b *testing.B) {
 	for _, deg := range []int{8, 16, 32, 64} {
 		for _, frac := range []int{1, 5, 10, 25} {
@@ -529,7 +526,7 @@ func BenchmarkReroute(b *testing.B) {
 						b.Fatal(err)
 					}
 					net = next
-					if _, err := core.Route(net, core.Options{}); err != nil {
+					if _, err := core.RouteContext(context.Background(), net, core.Options{}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -555,103 +552,35 @@ func BenchmarkReroute(b *testing.B) {
 	}
 }
 
-// benchTableFiles builds one degrees-2..5 table and saves it in both
-// on-disk formats, returning the two paths. The build is cached across
-// sub-benchmarks via sync.Once-style package state to keep -bench runs
-// from regenerating the table per case.
-func benchTableFiles(b *testing.B) (gobPath, flatPath string) {
-	b.Helper()
-	benchTableOnce.Do(func() {
-		tab := lut.New()
-		for d := 2; d <= 5; d++ {
-			if benchTableErr = tab.Generate(d, 0); benchTableErr != nil {
-				return
-			}
-		}
-		dir, err := os.MkdirTemp("", "patlabor-bench")
-		if err != nil {
-			benchTableErr = err
-			return
-		}
-		benchTableGob = filepath.Join(dir, "t.gob")
-		benchTableFlat = filepath.Join(dir, "t.plut")
-		if benchTableErr = tab.SaveFile(benchTableGob); benchTableErr != nil {
-			return
-		}
-		benchTableErr = tab.SaveFlatFile(benchTableFlat)
-	})
-	if benchTableErr != nil {
-		b.Fatal(benchTableErr)
-	}
-	return benchTableGob, benchTableFlat
-}
-
-var (
-	benchTableOnce sync.Once
-	benchTableErr  error
-	benchTableGob  string
-	benchTableFlat string
-)
-
 // BenchmarkColdStart measures time from LoadFile to the first answered
 // query — the interactive-startup cost a router pays before routing its
-// first net. The gob path decodes every entry eagerly; the flat path
-// mmaps the file and validates only the index, so cold start is O(index)
-// instead of O(table). scripts/bench.sh pr8 records the gap in
-// BENCH_PR8.json.
+// first net. LoadFile mmaps the file and validates only the index, so
+// cold start is O(index) instead of O(table). BENCH_PR8.json records it
+// against the retired gob format.
 func BenchmarkColdStart(b *testing.B) {
-	gobPath, flatPath := benchTableFiles(b)
-	net := benchNet(5, 5)
-	for _, c := range []struct{ name, path string }{
-		{"format=gob", gobPath},
-		{"format=flat", flatPath},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				tab := lut.New()
-				if err := tab.LoadFile(c.path); err != nil {
-					b.Fatal(err)
-				}
-				if _, ok, err := tab.Query(net); err != nil || !ok {
-					b.Fatalf("ok=%v err=%v", ok, err)
-				}
-				if err := tab.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	src := lut.New()
+	for d := 2; d <= 5; d++ {
+		if err := src.Generate(d, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
-}
-
-// BenchmarkLUTQueryFlat is BenchmarkLUTQuery on the mmapped flat backend:
-// the symbolic query evaluates dot products directly against the mapped
-// coefficient arrays, so steady-state cost must stay on par with the
-// in-memory builder entries that BENCH_PR2.json tracks.
-func BenchmarkLUTQueryFlat(b *testing.B) {
-	_, flatPath := benchTableFiles(b)
-	table := lut.New()
-	if err := table.LoadFile(flatPath); err != nil {
+	path := filepath.Join(b.TempDir(), "t.plut")
+	if err := src.SaveFlatFile(path); err != nil {
 		b.Fatal(err)
 	}
-	defer table.Close()
-	for d := 2; d <= 5; d++ {
-		b.Run(fmt.Sprintf("degree=%d", d), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(int64(100 + d)))
-			nets := make([]tree.Net, 16)
-			for i := range nets {
-				nets[i] = netgen.Clustered(rng, d, 100000, 4000)
-				if _, ok, err := table.Query(nets[i]); err != nil || !ok {
-					b.Fatalf("net %d: ok=%v err=%v", i, ok, err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, ok, err := table.Query(nets[i%len(nets)]); err != nil || !ok {
-					b.Fatalf("ok=%v err=%v", ok, err)
-				}
-			}
-		})
+	net := benchNet(5, 5)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tab := lut.New()
+		if err := tab.LoadFile(path); err != nil {
+			b.Fatal(err)
+		}
+		if _, ok, err := tab.Query(net); err != nil || !ok {
+			b.Fatalf("ok=%v err=%v", ok, err)
+		}
+		if err := tab.Close(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

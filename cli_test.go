@@ -61,44 +61,23 @@ func TestCLILutgenRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI integration test")
 	}
-	dir := t.TempDir()
-	route := func(table string) []Candidate {
-		t.Helper()
-		net := NewNet(Pt(0, 0), Pt(10, 4), Pt(3, 9), Pt(8, 1))
-		cands, err := Route(net, Options{TablePath: table})
-		if err != nil {
-			t.Fatal(err)
-		}
-		exact, err := ExactFrontier(net)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(cands) != len(exact) {
-			t.Fatalf("table-backed route %d candidates, exact %d", len(cands), len(exact))
-		}
-		return cands
-	}
-
-	// Default output is the flat zero-copy format.
-	flat := filepath.Join(dir, "t.plut")
-	out := runCLI(t, "./cmd/lutgen", "-degrees", "4", "-o", flat, "-check")
-	if !strings.Contains(out, "degree 4:") || !strings.Contains(out, "(flat,") {
+	table := filepath.Join(t.TempDir(), "t.plut")
+	out := runCLI(t, "./cmd/lutgen", "-degrees", "4", "-o", table, "-check")
+	if !strings.Contains(out, "degree 4:") || !strings.Contains(out, "wrote "+table) {
 		t.Fatalf("lutgen output: %s", out)
 	}
-	route(flat)
-
-	// The legacy gob format still writes and loads.
-	gobTable := filepath.Join(dir, "t.gob")
-	out = runCLI(t, "./cmd/lutgen", "-degrees", "4", "-o", gobTable, "-format", "gob", "-check")
-	if !strings.Contains(out, "(gob,") {
-		t.Fatalf("lutgen gob output: %s", out)
+	net := NewNet(Pt(0, 0), Pt(10, 4), Pt(3, 9), Pt(8, 1))
+	cands, err := Route(net, Options{TablePath: table})
+	if err != nil {
+		t.Fatal(err)
 	}
-	route(gobTable)
-
-	// -convert migrates gob -> flat.
-	converted := filepath.Join(dir, "converted.plut")
-	runCLI(t, "./cmd/lutgen", "-convert", gobTable, "-o", converted, "-check")
-	route(converted)
+	exact, err := ExactFrontier(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cands) != len(exact) {
+		t.Fatalf("table-backed route %d candidates, exact %d", len(cands), len(exact))
+	}
 }
 
 func TestCLILutgenShardMerge(t *testing.T) {

@@ -36,7 +36,7 @@ func main() {
 	designs := flag.Int("designs", 0, "override number of designs")
 	nets := flag.Int("nets", 0, "override nets per design")
 	seed := flag.Int64("seed", 0, "override suite seed")
-	table := flag.String("table", "", "lookup-table file from cmd/lutgen (flat or legacy gob), merged into the default table (speeds up PatLabor's small-net path)")
+	table := flag.String("table", "", "flat lookup-table file (.plut) from cmd/lutgen, merged into the default table (speeds up PatLabor's small-net path)")
 	workers := flag.Int("workers", 0, "worker-pool size for per-net experiment loops (0 = GOMAXPROCS; results are identical at any worker count)")
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")

@@ -1,20 +1,16 @@
 // Command lutgen generates PatLabor lookup tables (§V-A) and serialises
 // them for reuse. Pre-generated tables can be handed to the router via
-// patlabor.Options.TablePath or cmd/patlabor's -table flag, which accept
-// both table formats.
+// patlabor.Options.TablePath or cmd/patlabor's -table flag.
 //
 // Usage:
 //
 //	lutgen -degrees 4-7 -o tables.plut [-workers N] [-sample K] [-check]
 //	lutgen -degrees 7 -shard 3/8 -o shard3.plut      # one shard of degree 7
 //	lutgen -merge -o tables.plut shard*.plut         # merge shard files
-//	lutgen -convert legacy.gob -o tables.plut        # migrate gob -> flat
 //
-// The default output is the flat zero-copy format ("PLUT" magic): routers
+// Tables are written in the flat zero-copy format ("PLUT" magic): routers
 // memory-map it and start query-warm in milliseconds, sharing one
-// page-cache copy across processes. -format gob keeps writing the legacy
-// version-tagged gob format, which stays loadable read-only but is
-// deprecated for new tables.
+// page-cache copy across processes.
 //
 // Generating degree 7 takes minutes on one core (the paper reports 4.76 h
 // on 16 cores for the full λ=9 set) — split it with -shard i/N across
@@ -47,39 +43,25 @@ func main() {
 	workers := flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 	sample := flag.Int("sample", 0, "generate only the first K patterns per degree (timing probe; table not marked complete)")
 	check := flag.Bool("check", false, "reload the written file and verify its degree coverage")
-	format := flag.String("format", "flat", "output format: flat (zero-copy, default) or gob (legacy)")
 	shard := flag.String("shard", "", "generate one shard i/N of each degree's pattern space, e.g. 3/8")
 	merge := flag.Bool("merge", false, "merge the table files given as arguments into -o instead of generating")
 	partial := flag.Bool("partial", false, "with -merge: allow incompletely sharded degrees (warn instead of erroring)")
-	convert := flag.String("convert", "", "read this table file (either format) and rewrite it as -o in -format")
 	resume := flag.Bool("resume", false, "skip generation when -o already exists and loads cleanly")
 	flag.Parse()
 
-	switch *format {
-	case "flat", "gob":
-	default:
-		fatal(fmt.Errorf("unknown -format %q (want flat or gob)", *format))
-	}
-	if *merge && *convert != "" {
-		fatal(fmt.Errorf("-merge and -convert are mutually exclusive"))
-	}
-
-	switch {
-	case *convert != "":
-		runConvert(*convert, *out, *format)
-	case *merge:
-		runMerge(flag.Args(), *out, *format, *partial)
-	default:
-		runGenerate(*degrees, *out, *format, *shard, *workers, *sample, *resume)
+	if *merge {
+		runMerge(flag.Args(), *out, *partial)
+	} else {
+		runGenerate(*degrees, *out, *shard, *workers, *sample, *resume)
 	}
 	if *check {
-		runCheck(*out, *degrees, *sample > 0, *merge || *convert != "")
+		runCheck(*out, *degrees, *sample > 0, *merge)
 	}
 }
 
 // runGenerate is the classic path plus sharding: build the requested
 // degrees (or one shard of each) and write them out.
-func runGenerate(degrees, out, format, shard string, workers, sample int, resume bool) {
+func runGenerate(degrees, out, shard string, workers, sample int, resume bool) {
 	lo, hi, err := parseRange(degrees)
 	if err != nil {
 		fatal(err)
@@ -112,11 +94,11 @@ func runGenerate(degrees, out, format, shard string, workers, sample int, resume
 		}
 	}
 	printStats(t)
-	writeTable(t, out, format)
+	writeTable(t, out)
 }
 
 // runMerge folds shard (or whole) table files into one output table.
-func runMerge(paths []string, out, format string, partial bool) {
+func runMerge(paths []string, out string, partial bool) {
 	if len(paths) == 0 {
 		fatal(fmt.Errorf("-merge needs table files as arguments"))
 	}
@@ -138,18 +120,7 @@ func runMerge(paths []string, out, format string, partial bool) {
 		}
 	}
 	printStats(t)
-	writeTable(t, out, format)
-}
-
-// runConvert migrates a table file between formats (gob -> flat being the
-// expected direction).
-func runConvert(in, out, format string) {
-	t := lut.New()
-	if err := t.LoadFile(in); err != nil {
-		fatal(fmt.Errorf("convert: reading %s: %w", in, err))
-	}
-	printStats(t)
-	writeTable(t, out, format)
+	writeTable(t, out)
 }
 
 func runCheck(out, degrees string, sampled, skipRange bool) {
@@ -179,9 +150,6 @@ func printStats(t *lut.Table) {
 	for _, st := range t.Stats() {
 		line := fmt.Sprintf("degree %d: %d indices, %.2f avg topologies, %v",
 			st.Degree, st.NumIndex, st.AvgTopo(), st.GenTime)
-		if st.Pruned > 0 {
-			line += fmt.Sprintf(", %d pruned", st.Pruned)
-		}
 		if missing, shardCount, ok := t.MissingShards(st.Degree); ok && len(missing) > 0 {
 			line += fmt.Sprintf(" [shards %d/%d, missing %v]", shardCount-len(missing), shardCount, missing)
 		}
@@ -189,21 +157,15 @@ func printStats(t *lut.Table) {
 	}
 }
 
-func writeTable(t *lut.Table, out, format string) {
-	var err error
-	if format == "gob" {
-		err = t.SaveFile(out)
-	} else {
-		err = t.SaveFlatFile(out)
-	}
-	if err != nil {
+func writeTable(t *lut.Table, out string) {
+	if err := t.SaveFlatFile(out); err != nil {
 		fatal(err)
 	}
 	info, err := os.Stat(out)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("wrote %s (%s, %d bytes)\n", out, format, info.Size())
+	fmt.Printf("wrote %s (%d bytes)\n", out, info.Size())
 }
 
 func parseRange(s string) (int, int, error) {

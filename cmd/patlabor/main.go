@@ -4,7 +4,7 @@
 // Usage:
 //
 //	patlabor -nets nets.txt [-method patlabor|hier|salt|ysd|pd|ks|dw|rsmt|rsma]
-//	         [-lambda 9] [-table tables.gob] [-workers N] [-timeout 30s]
+//	         [-lambda 9] [-table tables.plut] [-workers N] [-timeout 30s]
 //	         [-nocache] [-stats] [-v]
 //	         [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	         [-mutexprofile mutex.pprof] [-blockprofile block.pprof]
@@ -47,7 +47,7 @@ func main() {
 	method := flag.String("method", "patlabor",
 		"routing method: "+strings.Join(patlabor.Methods(), ", ")+" (or an alias like pd, ks, dw)")
 	lambda := flag.Int("lambda", 0, "small-net threshold λ (default 9; patlabor method only)")
-	table := flag.String("table", "", "pre-generated lookup table file from lutgen (flat or legacy gob format)")
+	table := flag.String("table", "", "pre-generated flat lookup-table file (.plut) from lutgen")
 	verbose := flag.Bool("v", false, "print tree edges")
 	workers := flag.Int("workers", 0, "worker-pool size for batch routing (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "abort the batch after this duration (0 = no limit)")

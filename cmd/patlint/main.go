@@ -13,16 +13,6 @@
 //	go run ./cmd/patlint internal/pareto           # one package
 //	go run ./cmd/patlint -rules exact,goleak ./... # a rule subset
 //	go run ./cmd/patlint -json ./...               # machine-readable output
-//	go run ./cmd/patlint -baseline .patlint-baseline.json ./...
-//	go run ./cmd/patlint -baseline .patlint-baseline.json -write-baseline ./...
-//
-// With -baseline, findings recorded in the baseline file are forgiven
-// (matched by file/rule/message as a multiset, so unrelated edits that
-// move lines do not churn it); only new findings fail the run, and stale
-// baseline entries — recorded findings that no longer occur — are
-// reported on stderr so the file gets regenerated. -write-baseline
-// rewrites the baseline to the current findings and exits 0; the
-// preferred steady state is the empty baseline "[]".
 //
 // Exit status: 0 clean, 1 findings, 2 load/usage error. Findings print as
 //
@@ -47,15 +37,10 @@ import (
 
 func main() {
 	var (
-		jsonOut       = flag.Bool("json", false, "emit findings as a JSON array")
-		baselinePath  = flag.String("baseline", "", "baseline file of grandfathered findings")
-		writeBaseline = flag.Bool("write-baseline", false, "rewrite the -baseline file to the current findings and exit 0")
-		rulesFlag     = flag.String("rules", "", "comma-separated rules to run (default: all); known: "+strings.Join(patlint.Rules(), ","))
+		jsonOut   = flag.Bool("json", false, "emit findings as a JSON array")
+		rulesFlag = flag.String("rules", "", "comma-separated rules to run (default: all); known: "+strings.Join(patlint.Rules(), ","))
 	)
 	flag.Parse()
-	if *writeBaseline && *baselinePath == "" {
-		fatal(fmt.Errorf("patlint: -write-baseline requires -baseline <file>"))
-	}
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -75,25 +60,6 @@ func main() {
 	diags, err := patlint.CheckRules(l, patterns, rules)
 	if err != nil {
 		fatal(err)
-	}
-	if *writeBaseline {
-		if err := patlint.SaveBaseline(*baselinePath, patlint.BaselineOf(l.Root, diags)); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "patlint: wrote %d finding(s) to %s\n", len(diags), *baselinePath)
-		return
-	}
-	if *baselinePath != "" {
-		base, err := patlint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fatal(err)
-		}
-		var stale []patlint.BaselineEntry
-		diags, stale = patlint.ApplyBaseline(l.Root, diags, base)
-		for _, e := range stale {
-			fmt.Fprintf(os.Stderr, "patlint: stale baseline entry (finding fixed — regenerate with -write-baseline): %s: patlint(%s): %s\n",
-				e.File, e.Rule, e.Msg)
-		}
 	}
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)

@@ -74,16 +74,12 @@ type Options struct {
 // DefaultLambda is the paper's λ = 9.
 const DefaultLambda = 9
 
-// Route computes a Pareto set of routing trees for the net: the exact
-// frontier for degree ≤ λ, a locally searched approximation otherwise.
-// Items are in canonical frontier order.
-func Route(net tree.Net, opts Options) ([]pareto.Item[*tree.Tree], error) {
-	return RouteContext(context.Background(), net, opts)
-}
-
-// RouteContext is Route with cancellation: the context is checked once per
-// local-search iteration (and threaded into the exact DP's subset loop), so
-// a deadline aborts within one step of whichever engine is running.
+// RouteContext computes a Pareto set of routing trees for the net: the
+// exact frontier for degree ≤ λ, a locally searched approximation
+// otherwise. Items are in canonical frontier order. The context is checked
+// once per local-search iteration (and threaded into the exact DP's subset
+// loop), so a deadline aborts within one step of whichever engine is
+// running.
 func RouteContext(ctx context.Context, net tree.Net, opts Options) ([]pareto.Item[*tree.Tree], error) {
 	n := net.Degree()
 	if n == 0 {
@@ -100,11 +96,6 @@ func RouteContext(ctx context.Context, net tree.Net, opts Options) ([]pareto.Ite
 		return small(ctx, net, opts)
 	}
 	return localSearch(ctx, net, lambda, opts)
-}
-
-// Frontier returns only the objective vectors of Route.
-func Frontier(net tree.Net, opts Options) ([]pareto.Sol, error) {
-	return FrontierContext(context.Background(), net, opts)
 }
 
 // FrontierContext returns only the objective vectors of RouteContext.

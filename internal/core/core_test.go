@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -25,11 +26,11 @@ func TestRouteSmallIsExact(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		n := 2 + rng.Intn(6) // 2..7
 		net := randNet(rng, n, 100)
-		items, err := Route(net, Options{})
+		items, err := RouteContext(context.Background(), net, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := dw.FrontierSols(net, dw.DefaultOptions())
+		want, err := dw.FrontierSolsContext(context.Background(), net, dw.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +52,7 @@ func TestRouteLargeValidAndCanonical(t *testing.T) {
 	rng := rand.New(rand.NewSource(112))
 	for _, n := range []int{12, 20, 30} {
 		net := randNet(rng, n, 400)
-		items, err := Route(net, Options{Lambda: 7})
+		items, err := RouteContext(context.Background(), net, Options{Lambda: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +83,7 @@ func TestRouteLargeCoversBothEnds(t *testing.T) {
 	trials := 10
 	for trial := 0; trial < trials; trial++ {
 		net := randNet(rng, 16, 500)
-		items, err := Route(net, Options{Lambda: 7})
+		items, err := RouteContext(context.Background(), net, Options{Lambda: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,11 +109,11 @@ func TestRouteLargeCoversBothEnds(t *testing.T) {
 func TestRouteRandomSelectionAblation(t *testing.T) {
 	rng := rand.New(rand.NewSource(114))
 	net := randNet(rng, 20, 400)
-	a, err := Route(net, Options{Lambda: 7})
+	a, err := RouteContext(context.Background(), net, Options{Lambda: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Route(net, Options{Lambda: 7, RandomSelection: true})
+	b, err := RouteContext(context.Background(), net, Options{Lambda: 7, RandomSelection: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestRouteRandomSelectionAblation(t *testing.T) {
 func TestRouteNoRefineAblation(t *testing.T) {
 	rng := rand.New(rand.NewSource(115))
 	net := randNet(rng, 18, 300)
-	items, err := Route(net, Options{Lambda: 7, NoRefine: true})
+	items, err := RouteContext(context.Background(), net, Options{Lambda: 7, NoRefine: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +144,11 @@ func TestRouteMoreIterationsNeverWorse(t *testing.T) {
 	// Monotonicity: the Pareto set only grows tighter with iterations.
 	rng := rand.New(rand.NewSource(116))
 	net := randNet(rng, 24, 400)
-	few, err := Route(net, Options{Lambda: 7, Iterations: 1})
+	few, err := RouteContext(context.Background(), net, Options{Lambda: 7, Iterations: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := Route(net, Options{Lambda: 7, Iterations: 6})
+	many, err := RouteContext(context.Background(), net, Options{Lambda: 7, Iterations: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,14 +167,14 @@ func itemSols(items []pareto.Item[*tree.Tree]) []pareto.Sol {
 }
 
 func TestRouteErrors(t *testing.T) {
-	if _, err := Route(tree.Net{}, Options{}); err == nil {
+	if _, err := RouteContext(context.Background(), tree.Net{}, Options{}); err == nil {
 		t.Fatal("empty net accepted")
 	}
 	net := tree.NewNet(geom.Pt(0, 0), geom.Pt(1, 1))
-	if _, err := Route(net, Options{Lambda: 1}); err == nil {
+	if _, err := RouteContext(context.Background(), net, Options{Lambda: 1}); err == nil {
 		t.Fatal("lambda 1 accepted")
 	}
-	if _, err := Route(net, Options{Lambda: dw.MaxExactDegree + 1}); err == nil {
+	if _, err := RouteContext(context.Background(), net, Options{Lambda: dw.MaxExactDegree + 1}); err == nil {
 		t.Fatal("oversized lambda accepted")
 	}
 }
@@ -181,11 +182,11 @@ func TestRouteErrors(t *testing.T) {
 func TestFrontierMatchesRoute(t *testing.T) {
 	rng := rand.New(rand.NewSource(117))
 	net := randNet(rng, 6, 80)
-	sols, err := Frontier(net, Options{})
+	sols, err := FrontierContext(context.Background(), net, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	items, err := Route(net, Options{})
+	items, err := RouteContext(context.Background(), net, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,11 +275,11 @@ func TestRouteCacheDifferential(t *testing.T) {
 		for trial := 0; trial < 6; trial++ {
 			n := 12 + rng.Intn(30)
 			net := randNet(rng, n, 500)
-			cached, err := Route(net, Options{Lambda: lambda})
+			cached, err := RouteContext(context.Background(), net, Options{Lambda: lambda})
 			if err != nil {
 				t.Fatal(err)
 			}
-			plain, err := Route(net, Options{Lambda: lambda, NoCache: true})
+			plain, err := RouteContext(context.Background(), net, Options{Lambda: lambda, NoCache: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -315,11 +316,11 @@ func TestRouteSharedCacheAcrossNets(t *testing.T) {
 	cache := NewSubCache(0)
 	for _, lambda := range []int{0, 5} {
 		for _, net := range nets {
-			cached, err := Route(net, Options{Lambda: lambda, Cache: cache})
+			cached, err := RouteContext(context.Background(), net, Options{Lambda: lambda, Cache: cache})
 			if err != nil {
 				t.Fatal(err)
 			}
-			plain, err := Route(net, Options{Lambda: lambda, NoCache: true})
+			plain, err := RouteContext(context.Background(), net, Options{Lambda: lambda, NoCache: true})
 			if err != nil {
 				t.Fatal(err)
 			}

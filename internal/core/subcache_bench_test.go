@@ -14,8 +14,8 @@ import (
 // single-mutex layout every operation serialized on one lock; the
 // sharded layout spreads the same traffic over SubCacheShards locks, so
 // this benchmark (and its -mutexprofile) is where the difference shows
-// undiluted. scripts/bench.sh pr9 does not record it — absolute numbers
-// are dominated by map cost — but the mutex-profile comparison in
+// undiluted. BENCH_PR9.json does not record it — absolute numbers are
+// dominated by map cost — but the mutex-profile comparison in
 // EXPERIMENTS.md's lock-contention entry was captured from it.
 func BenchmarkSubCacheParallel(b *testing.B) {
 	cache := NewSubCache(0)

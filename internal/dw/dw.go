@@ -50,20 +50,15 @@ func DefaultOptions() Options {
 	return Options{PruneCorners: true, ProjectOutside: true, BoundarySplits: true}
 }
 
-// MaxExactDegree is the largest net degree Frontier accepts. The DP is
+// MaxExactDegree is the largest net degree FrontierContext accepts. The DP is
 // exponential in the degree; beyond this the practical method's local
 // search (internal/core) must be used.
 const MaxExactDegree = 16
 
-// Frontier computes the exact Pareto frontier of the net and one optimal
-// tree per frontier point, in canonical frontier order.
-func Frontier(net tree.Net, opts Options) ([]pareto.Item[*tree.Tree], error) {
-	return FrontierContext(context.Background(), net, opts)
-}
-
-// FrontierContext is Frontier with cancellation: the context is checked
-// once per sink-subset of the dynamic program, so an expired deadline
-// aborts within one subset's worth of work.
+// FrontierContext computes the exact Pareto frontier of the net and one
+// optimal tree per frontier point, in canonical frontier order. The
+// context is checked once per sink-subset of the dynamic program, so an
+// expired deadline aborts within one subset's worth of work.
 func FrontierContext(ctx context.Context, net tree.Net, opts Options) ([]pareto.Item[*tree.Tree], error) {
 	c, err := newComputation(net, opts)
 	if err != nil {
@@ -81,14 +76,9 @@ func FrontierContext(ctx context.Context, net tree.Net, opts Options) ([]pareto.
 	return out, nil
 }
 
-// FrontierSols computes only the objective vectors of the exact Pareto
-// frontier (no tree reconstruction).
-func FrontierSols(net tree.Net, opts Options) ([]pareto.Sol, error) {
-	return FrontierSolsContext(context.Background(), net, opts)
-}
-
-// FrontierSolsContext is FrontierSols with cancellation (see
-// FrontierContext).
+// FrontierSolsContext computes only the objective vectors of the exact
+// Pareto frontier (no tree reconstruction), with cancellation as in
+// FrontierContext.
 func FrontierSolsContext(ctx context.Context, net tree.Net, opts Options) ([]pareto.Sol, error) {
 	c, err := newComputation(net, opts)
 	if err != nil {

@@ -1,6 +1,7 @@
 package dw
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -19,7 +20,7 @@ func randNet(rng *rand.Rand, n int, span int64) tree.Net {
 
 func TestFrontierDegree1(t *testing.T) {
 	net := tree.Net{Pins: []geom.Point{geom.Pt(3, 4)}}
-	items, err := Frontier(net, DefaultOptions())
+	items, err := FrontierContext(context.Background(), net, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestFrontierDegree1(t *testing.T) {
 
 func TestFrontierDegree2(t *testing.T) {
 	net := tree.NewNet(geom.Pt(0, 0), geom.Pt(5, 7))
-	items, err := Frontier(net, DefaultOptions())
+	items, err := FrontierContext(context.Background(), net, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestFrontierDegree2(t *testing.T) {
 func TestFrontierCollinear(t *testing.T) {
 	// Three collinear pins: a single solution (the straight line).
 	net := tree.NewNet(geom.Pt(0, 0), geom.Pt(5, 0), geom.Pt(10, 0))
-	sols, err := FrontierSols(net, DefaultOptions())
+	sols, err := FrontierSolsContext(context.Background(), net, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestFrontierLShape(t *testing.T) {
 	// Source (0,0), sinks (10,0) and (10,10): the path through (10,0) is
 	// simultaneously optimal in both objectives.
 	net := tree.NewNet(geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(10, 10))
-	sols, err := FrontierSols(net, DefaultOptions())
+	sols, err := FrontierSolsContext(context.Background(), net, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestFrontierKnownTradeoff(t *testing.T) {
 	// reachable via a shared trunk or directly: constructed so the RSMT
 	// and the SPT differ.
 	net := tree.NewNet(geom.Pt(0, 0), geom.Pt(10, 1), geom.Pt(10, -1), geom.Pt(20, 0))
-	sols, err := FrontierSols(net, DefaultOptions())
+	sols, err := FrontierSolsContext(context.Background(), net, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestFrontierMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		n := 3 + rng.Intn(2) // 3 or 4 pins
 		net := randNet(rng, n, 12)
-		got, err := FrontierSols(net, DefaultOptions())
+		got, err := FrontierSolsContext(context.Background(), net, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +125,7 @@ func TestFrontierTreesMatchSols(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		n := 2 + rng.Intn(5) // 2..6 pins
 		net := randNet(rng, n, 30)
-		items, err := Frontier(net, DefaultOptions())
+		items, err := FrontierContext(context.Background(), net, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,12 +170,12 @@ func TestPruningsDoNotChangeResults(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		n := 3 + rng.Intn(4) // 3..6 pins
 		net := randNet(rng, n, 40)
-		ref, err := FrontierSols(net, Options{})
+		ref, err := FrontierSolsContext(context.Background(), net, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, opt := range variants {
-			got, err := FrontierSols(net, opt)
+			got, err := FrontierSolsContext(context.Background(), net, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -193,7 +194,7 @@ func TestPruningsDoNotChangeResults(t *testing.T) {
 func TestFrontierDuplicatePins(t *testing.T) {
 	// Two sinks at the same point, plus a sink on the source.
 	net := tree.NewNet(geom.Pt(0, 0), geom.Pt(5, 5), geom.Pt(5, 5), geom.Pt(0, 0))
-	items, err := Frontier(net, DefaultOptions())
+	items, err := FrontierContext(context.Background(), net, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestFrontierEndpointsAreOptima(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		n := 3 + rng.Intn(4)
 		net := randNet(rng, n, 50)
-		sols, err := FrontierSols(net, DefaultOptions())
+		sols, err := FrontierSolsContext(context.Background(), net, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,13 +243,13 @@ func TestFrontierEndpointsAreOptima(t *testing.T) {
 func TestFrontierDegreeTooLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	net := randNet(rng, MaxExactDegree+1, 100)
-	if _, err := Frontier(net, DefaultOptions()); err == nil {
+	if _, err := FrontierContext(context.Background(), net, DefaultOptions()); err == nil {
 		t.Fatal("expected an error for oversized degree")
 	}
 }
 
 func TestFrontierEmptyNet(t *testing.T) {
-	if _, err := Frontier(tree.Net{}, DefaultOptions()); err == nil {
+	if _, err := FrontierContext(context.Background(), tree.Net{}, DefaultOptions()); err == nil {
 		t.Fatal("expected an error for an empty net")
 	}
 }
@@ -260,7 +261,7 @@ func TestFrontierDegree7Smoke(t *testing.T) {
 	rng := rand.New(rand.NewSource(505))
 	for trial := 0; trial < 5; trial++ {
 		net := randNet(rng, 7, 100)
-		items, err := Frontier(net, DefaultOptions())
+		items, err := FrontierContext(context.Background(), net, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -205,7 +205,7 @@ func TestChurnDifferential(t *testing.T) {
 					t.Fatalf("%s: %v", label, err)
 				}
 				post := h.Net()
-				want, err := core.Route(post, core.Options{})
+				want, err := core.RouteContext(context.Background(), post, core.Options{})
 				if err != nil {
 					t.Fatalf("%s: reference: %v", label, err)
 				}

@@ -92,7 +92,7 @@ func FuzzEditStream(f *testing.F) {
 				t.Fatalf("step %d (%v): %v", steps, edit.Op, err)
 			}
 			post := h.Net()
-			want, err := core.Route(post, core.Options{})
+			want, err := core.RouteContext(context.Background(), post, core.Options{})
 			if err != nil {
 				t.Fatalf("step %d: reference: %v", steps, err)
 			}

@@ -1,6 +1,7 @@
 package elmore
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -85,7 +86,7 @@ func TestRankAndBest(t *testing.T) {
 			pins[i] = geom.Pt(rng.Int63n(200), rng.Int63n(200))
 		}
 		net := tree.Net{Pins: pins}
-		cands, err := dw.Frontier(net, dw.DefaultOptions())
+		cands, err := dw.FrontierContext(context.Background(), net, dw.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

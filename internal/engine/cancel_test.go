@@ -14,6 +14,7 @@ import (
 	"patlabor/internal/method"
 	"patlabor/internal/netgen"
 	"patlabor/internal/pareto"
+	"patlabor/internal/pool"
 	"patlabor/internal/salt"
 	"patlabor/internal/tree"
 )
@@ -111,12 +112,12 @@ func TestDWExpiredDeadlineFailsFast(t *testing.T) {
 }
 
 // TestForEachContextCancel covers the single-worker and pooled paths of
-// the parallel-for under cancellation.
+// pool.Each, RouteAll's batch dispatch, under mid-batch cancellation.
 func TestForEachContextCancel(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var visited atomic.Int64
-		err := ForEachContext(ctx, 1000, workers, func(i int) error {
+		err := pool.Each(ctx, 1000, workers, func(_, i int) error {
 			if i == 3 {
 				cancel()
 			}

@@ -4,11 +4,13 @@
 // per-net Pareto sets in input order regardless of completion order.
 // Routing is embarrassingly parallel across nets — each net's construction
 // touches no mutable shared state — so the only cross-goroutine structures
-// are the read-only lookup table (internal/lut, immutable after its
-// sync.Once build, RWMutex-guarded for file merges), the shared
-// sub-frontier memo (core.SubCache, mutex-guarded; hits are byte-identical
-// to recomputation, so results never depend on cache state or worker
-// interleaving) and the engine's own statistics collector.
+// are the lookup table (internal/lut: queries read an immutable snapshot
+// through an atomic pointer without locking; file merges publish a new
+// one), the shared sub-frontier memo (core.SubCache, split over
+// core.SubCacheShards independently locked shards; hits are
+// byte-identical to recomputation, so results never depend on cache state
+// or worker interleaving) and per-worker statistics collectors merged in
+// worker order.
 //
 // On top of the worker pool the engine runs a batch-level net dedup (see
 // planDedup): nets with identical canonical form — translates, and for
@@ -66,11 +68,10 @@ type Options struct {
 	Iterations int
 	// Table answers small-net queries; nil uses the shared lut.Default().
 	Table *lut.Table
-	// TablePath optionally loads a lookup-table file produced by
-	// cmd/lutgen into a private table (built-in eager degrees are merged
-	// underneath). Both formats load: flat zero-copy tables ("PLUT"
-	// magic) attach as a memory-mapped read-only backend, legacy gob
-	// files decode in memory. Ignored when Table is set.
+	// TablePath optionally loads a flat lookup-table file (.plut)
+	// produced by cmd/lutgen into a private table, memory-mapped
+	// read-only, with the built-in eager degrees generated behind it.
+	// Ignored when Table is set.
 	TablePath string
 	// Params overrides the trained pin-selection policy weights.
 	Params *policy.Params
@@ -423,24 +424,4 @@ func RouteAll(ctx context.Context, nets []tree.Net, opts Options) ([]Result, err
 		return nil, err
 	}
 	return e.RouteAll(ctx, nets)
-}
-
-// ForEach runs fn(i) for every i in [0,n) on a pool of `workers`
-// goroutines (<=0 means GOMAXPROCS). Indices are dispatched in order; on
-// failure the pool drains in-flight work, stops dispatching, and returns
-// the error of the lowest failed index — so the reported error is
-// deterministic even though scheduling is not. It is the parallel-for the
-// experiment harness uses to keep aggregation order-independent: workers
-// write only to their own index's slot, aggregation happens serially
-// afterwards. The implementation lives in internal/pool, shared with the
-// hierarchical router's intra-net cluster fan-out.
-func ForEach(n, workers int, fn func(i int) error) error {
-	return ForEachContext(context.Background(), n, workers, fn)
-}
-
-// ForEachContext is ForEach under a context: cancellation stops
-// dispatching, the pool drains, and ctx.Err() is returned (taking
-// precedence over any per-index error).
-func ForEachContext(ctx context.Context, n, workers int, fn func(i int) error) error {
-	return pool.Each(ctx, n, workers, func(_, i int) error { return fn(i) })
 }

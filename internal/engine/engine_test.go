@@ -15,6 +15,7 @@ import (
 	"patlabor/internal/lut"
 	"patlabor/internal/netgen"
 	"patlabor/internal/pareto"
+	"patlabor/internal/pool"
 	"patlabor/internal/tree"
 )
 
@@ -34,7 +35,7 @@ func TestRouteAllDifferential(t *testing.T) {
 
 	serial := make([][]pareto.Sol, count)
 	for i, net := range nets {
-		sols, err := core.Frontier(net, core.Options{})
+		sols, err := core.FrontierContext(context.Background(), net, core.Options{})
 		if err != nil {
 			t.Fatalf("serial net %d: %v", i, err)
 		}
@@ -143,7 +144,7 @@ func TestRouteAllLargeNets(t *testing.T) {
 		if len(cands) == 0 {
 			t.Fatalf("net %d: empty frontier", i)
 		}
-		serial, err := core.Route(nets[i], core.Options{Lambda: 7, Iterations: 2})
+		serial, err := core.RouteContext(context.Background(), nets[i], core.Options{Lambda: 7, Iterations: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,9 +290,11 @@ func TestStatsConcurrent(t *testing.T) {
 	}
 }
 
+// TestForEachDeterministicError pins the pool.Each contract RouteAll's
+// batch dispatch relies on: the lowest failed index's error wins.
 func TestForEachDeterministicError(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
-		err := ForEach(100, 8, func(i int) error {
+		err := pool.Each(context.Background(), 100, 8, func(_, i int) error {
 			if i%30 == 17 { // fails at 17, 47, 77
 				return fmt.Errorf("fail %d", i)
 			}
@@ -307,7 +310,7 @@ func TestForEachDeterministicError(t *testing.T) {
 func TestForEachCoversAll(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 16} {
 		hit := make([]int64, 257)
-		err := ForEach(len(hit), workers, func(i int) error {
+		err := pool.Each(context.Background(), len(hit), workers, func(_, i int) error {
 			hit[i]++
 			return nil
 		})

@@ -90,7 +90,7 @@ func TestRerouteBatchDifferential(t *testing.T) {
 			}
 			for i := range got {
 				post := handles[wi][i].Net()
-				want, err := core.Route(post, core.Options{})
+				want, err := core.RouteContext(context.Background(), post, core.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -213,7 +213,7 @@ func TestRerouteErrors(t *testing.T) {
 	}
 	// The failed batch left both handles at their pre-edit state.
 	for i, h := range handles {
-		want, err := core.Route(nets[i], core.Options{})
+		want, err := core.RouteContext(context.Background(), nets[i], core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,7 +262,7 @@ func TestPlanDedupMutationRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.Route(nets[1], core.Options{})
+	want, err := core.RouteContext(context.Background(), nets[1], core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,7 +107,7 @@ type Stats struct {
 	HierMaxCluster int64
 	HierMaxLevels  int64
 	// TableColdStart is the wall-clock time the engine's lookup table
-	// spent loading from disk (gob decode or flat open+map), and
+	// spent loading from disk (flat open+map), and
 	// TableMappedBytes the bytes it currently memory-maps: together the
 	// cold-start-to-first-query picture of the flat zero-copy format.
 	// Neither rebases on Reset — they describe the table, not the batch.

@@ -6,10 +6,10 @@ import (
 	"math/rand"
 	"time"
 
-	"patlabor/internal/engine"
 	"patlabor/internal/method"
 	"patlabor/internal/netgen"
 	"patlabor/internal/pareto"
+	"patlabor/internal/pool"
 	"patlabor/internal/rsma"
 	"patlabor/internal/rsmt"
 	"patlabor/internal/tree"
@@ -53,7 +53,7 @@ func RunLarge(ctx context.Context, cfg Config, title string, nets []tree.Net, al
 		dur    map[string]time.Duration
 	}
 	evals := make([]netEval, len(nets))
-	err := engine.ForEachContext(ctx, len(nets), cfg.Workers, func(i int) error {
+	err := pool.Each(ctx, len(nets), cfg.Workers, func(_, i int) error {
 		net := nets[i]
 		ev := netEval{
 			wN:   rsmt.Wirelength(net),

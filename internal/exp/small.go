@@ -8,10 +8,10 @@ import (
 	"time"
 
 	"patlabor/internal/dw"
-	"patlabor/internal/engine"
 	"patlabor/internal/method"
 	"patlabor/internal/netgen"
 	"patlabor/internal/pareto"
+	"patlabor/internal/pool"
 	"patlabor/internal/stats"
 	"patlabor/internal/textplot"
 )
@@ -118,7 +118,7 @@ func RunSmall(ctx context.Context, cfg Config, designs []netgen.Design) (*SmallR
 		dur   map[string]time.Duration
 	}
 	evals := make([]netEval, len(nets))
-	err := engine.ForEachContext(ctx, len(nets), cfg.Workers, func(i int) error {
+	err := pool.Each(ctx, len(nets), cfg.Workers, func(_, i int) error {
 		net := nets[i]
 		truth, err := dw.FrontierSolsContext(ctx, net, dw.DefaultOptions())
 		if err != nil {

@@ -13,10 +13,10 @@ import (
 // Table2Result reproduces Table II: lookup table statistics per degree.
 type Table2Result struct {
 	Stats []lut.DegreeStats
-	Sizes []int64 // serialised bytes per degree row
+	Sizes []int64 // flat-format bytes per degree row
 }
 
-// countingWriter measures serialised size without buffering content.
+// countingWriter measures the flat-format size without buffering content.
 type countingWriter struct{ n int64 }
 
 func (c *countingWriter) Write(p []byte) (int, error) {
@@ -29,41 +29,39 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // the full generation time the paper reports in hours for degree 9).
 func RunTable2(ctx context.Context, eagerMax, sampleDegree, sampleCount, workers int) (*Table2Result, error) {
 	res := &Table2Result{}
-	for d := 4; d <= eagerMax; d++ {
+	// row generates one degree into a fresh table and records its
+	// statistics and flat-format size.
+	row := func(degree int, gen func(*lut.Table) error) error {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		t := lut.New()
-		if err := t.Generate(d, workers); err != nil {
-			return nil, err
+		if err := gen(t); err != nil {
+			return err
 		}
 		st := t.Stats()
 		if len(st) != 1 {
-			return nil, fmt.Errorf("exp: unexpected stats for degree %d", d)
+			return fmt.Errorf("exp: unexpected stats for degree %d", degree)
+		}
+		cw := &countingWriter{}
+		if err := t.SaveFlat(cw); err != nil {
+			return err
 		}
 		res.Stats = append(res.Stats, st[0])
-		cw := &countingWriter{}
-		if err := t.Save(cw); err != nil {
+		res.Sizes = append(res.Sizes, cw.n)
+		return nil
+	}
+	for d := 4; d <= eagerMax; d++ {
+		if err := row(d, func(t *lut.Table) error { return t.Generate(d, workers) }); err != nil {
 			return nil, err
 		}
-		res.Sizes = append(res.Sizes, cw.n)
 	}
 	if sampleDegree > eagerMax && sampleCount > 0 {
-		if err := ctx.Err(); err != nil {
+		err := row(sampleDegree, func(t *lut.Table) error {
+			return t.GenerateSample(sampleDegree, workers, sampleCount)
+		})
+		if err != nil {
 			return nil, err
-		}
-		t := lut.New()
-		if err := t.GenerateSample(sampleDegree, workers, sampleCount); err != nil {
-			return nil, err
-		}
-		st := t.Stats()
-		if len(st) == 1 {
-			res.Stats = append(res.Stats, st[0])
-			cw := &countingWriter{}
-			if err := t.Save(cw); err != nil {
-				return nil, err
-			}
-			res.Sizes = append(res.Sizes, cw.n)
 		}
 	}
 	return res, nil

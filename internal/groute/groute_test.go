@@ -1,6 +1,7 @@
 package groute
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -112,7 +113,7 @@ func hotspotNets(t *testing.T, count int) []NetCandidates {
 			sinks = append(sinks, geom.Pt(rng.Int63n(300), 100+rng.Int63n(600)))
 		}
 		net := tree.NewNet(src, sinks...)
-		cands, err := dw.Frontier(net, dw.DefaultOptions())
+		cands, err := dw.FrontierContext(context.Background(), net, dw.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -161,14 +161,9 @@ func resolve(opts Options) (config, error) {
 	return cfg, nil
 }
 
-// Route computes a Pareto set of routing trees for the net: flat through
-// core below the crossover degree, hierarchically above it. Items are in
-// canonical frontier order.
-func Route(net tree.Net, opts Options) ([]pareto.Item[*tree.Tree], error) {
-	return RouteContext(context.Background(), net, opts)
-}
-
-// RouteContext is Route with cancellation, threaded to cluster
+// RouteContext computes a Pareto set of routing trees for the net: flat
+// through core below the crossover degree, hierarchically above it. Items
+// are in canonical frontier order. Cancellation is threaded to cluster
 // granularity: the fan-out stops dispatching clusters, in-flight windows
 // abort at their next check, and the combination fold checks the context
 // once per cluster step.

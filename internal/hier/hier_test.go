@@ -143,7 +143,7 @@ func TestValidExact(t *testing.T) {
 			} else {
 				net = netgen.Uniform(rng, deg, 50000)
 			}
-			items, err := Route(net, Options{})
+			items, err := RouteContext(context.Background(), net, Options{})
 			if err != nil {
 				t.Fatalf("deg %d gen %d: %v", deg, gen, err)
 			}
@@ -167,7 +167,7 @@ func TestValidExact(t *testing.T) {
 	}
 	// All-coincident pins: every sink on top of the source.
 	co := netgen.Uniform(rng, 80, 1)
-	items, err := Route(co, Options{Crossover: 20, ClusterSize: 4, Core: core.Options{Lambda: 5}})
+	items, err := RouteContext(context.Background(), co, Options{Crossover: 20, ClusterSize: 4, Core: core.Options{Lambda: 5}})
 	if err != nil {
 		t.Fatalf("coincident: %v", err)
 	}
@@ -187,11 +187,11 @@ func TestCrossoverDispatch(t *testing.T) {
 	opts := Options{Stats: &stats, Core: core.Options{NoCache: true}}
 	for _, deg := range []int{2, 5, 9, 30, 64} {
 		net := netgen.Clustered(rng, deg, 100000, 4000)
-		got, err := Route(net, opts)
+		got, err := RouteContext(context.Background(), net, opts)
 		if err != nil {
 			t.Fatalf("deg %d: %v", deg, err)
 		}
-		want, err := core.Route(net, core.Options{NoCache: true})
+		want, err := core.RouteContext(context.Background(), net, core.Options{NoCache: true})
 		if err != nil {
 			t.Fatalf("deg %d: flat: %v", deg, err)
 		}
@@ -202,7 +202,7 @@ func TestCrossoverDispatch(t *testing.T) {
 		t.Fatalf("flat dispatch counters: %+v", s)
 	}
 	net := netgen.MegaClustered(rng, 200, 100000, 6, 5000)
-	if _, err := Route(net, opts); err != nil {
+	if _, err := RouteContext(context.Background(), net, opts); err != nil {
 		t.Fatal(err)
 	}
 	s = stats.Snapshot()

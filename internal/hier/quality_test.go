@@ -1,6 +1,7 @@
 package hier
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -38,11 +39,11 @@ func TestQualityRegression(t *testing.T) {
 		if i%3 == 2 {
 			net = netgen.Uniform(rng, deg, 50000)
 		}
-		h, err := Route(net, Options{})
+		h, err := RouteContext(context.Background(), net, Options{})
 		if err != nil {
 			t.Fatalf("net %d (degree %d): hier: %v", i, deg, err)
 		}
-		f, err := core.Route(net, core.Options{})
+		f, err := core.RouteContext(context.Background(), net, core.Options{})
 		if err != nil {
 			t.Fatalf("net %d (degree %d): flat: %v", i, deg, err)
 		}

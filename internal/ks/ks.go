@@ -42,15 +42,10 @@ type Options struct {
 // MaxLeaf bounds the exact leaf size (the exact DP is exponential).
 const MaxLeaf = 9
 
-// Frontier approximates the Pareto frontier of the net, returning one tree
-// per retained solution in canonical order.
-func Frontier(net tree.Net, opts Options) ([]pareto.Item[*tree.Tree], error) {
-	return FrontierContext(context.Background(), net, opts)
-}
-
-// FrontierContext is Frontier with cancellation: the context is checked at
-// every node of the divide-and-conquer recursion and threaded into the
-// exact DP solving the leaves.
+// FrontierContext approximates the Pareto frontier of the net, returning
+// one tree per retained solution in canonical order. The context is
+// checked at every node of the divide-and-conquer recursion and threaded
+// into the exact DP solving the leaves.
 func FrontierContext(ctx context.Context, net tree.Net, opts Options) ([]pareto.Item[*tree.Tree], error) {
 	n := net.Degree()
 	if n == 0 {

@@ -1,6 +1,7 @@
 package ks
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -25,11 +26,11 @@ func TestFrontierSmallIsExact(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		n := 3 + rng.Intn(3)
 		net := randNet(rng, n, 80)
-		items, err := Frontier(net, Options{Leaf: 6})
+		items, err := FrontierContext(context.Background(), net, Options{Leaf: 6})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := dw.FrontierSols(net, dw.DefaultOptions())
+		want, err := dw.FrontierSolsContext(context.Background(), net, dw.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +57,7 @@ func TestFrontierLargeValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	for _, n := range []int{12, 20, 35} {
 		net := randNet(rng, n, 300)
-		items, err := Frontier(net, Options{})
+		items, err := FrontierContext(context.Background(), net, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,11 +87,11 @@ func TestFrontierApproximationQuality(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	for trial := 0; trial < 10; trial++ {
 		net := randNet(rng, 10, 120)
-		items, err := Frontier(net, Options{Leaf: 6})
+		items, err := FrontierContext(context.Background(), net, Options{Leaf: 6})
 		if err != nil {
 			t.Fatal(err)
 		}
-		truth, err := dw.FrontierSols(net, dw.DefaultOptions())
+		truth, err := dw.FrontierSolsContext(context.Background(), net, dw.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +104,7 @@ func TestFrontierApproximationQuality(t *testing.T) {
 func TestFrontierMaxSetCap(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
 	net := randNet(rng, 25, 400)
-	items, err := Frontier(net, Options{MaxSet: 3})
+	items, err := FrontierContext(context.Background(), net, Options{MaxSet: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestFrontierMaxSetCap(t *testing.T) {
 }
 
 func TestFrontierEmptyNet(t *testing.T) {
-	if _, err := Frontier(tree.Net{}, Options{}); err == nil {
+	if _, err := FrontierContext(context.Background(), tree.Net{}, Options{}); err == nil {
 		t.Fatal("empty net accepted")
 	}
 }
@@ -155,11 +156,11 @@ func TestFrontierWithTableLeaves(t *testing.T) {
 	rng := rand.New(rand.NewSource(95))
 	for trial := 0; trial < 8; trial++ {
 		net := randNet(rng, 14, 200)
-		a, err := Frontier(net, Options{Leaf: 5})
+		a, err := FrontierContext(context.Background(), net, Options{Leaf: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Frontier(net, Options{Leaf: 5, Table: lut.Default()})
+		b, err := FrontierContext(context.Background(), net, Options{Leaf: 5, Table: lut.Default()})
 		if err != nil {
 			t.Fatal(err)
 		}

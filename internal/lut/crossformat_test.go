@@ -1,11 +1,11 @@
 package lut_test
 
-// Cross-format differential: routing a 220-net batch with the legacy gob
-// table, the flat in-memory table, and the mmapped flat table must be
-// byte-identical — same frontiers, same trees, same table counters — at
-// workers 1 and 8, with the sub-frontier cache on and off. This is the
-// contract that makes the flat format a drop-in storage swap rather than
-// a behavioral change.
+// Cross-backend differential: routing a 220-net batch with the generated
+// table, its saved bytes attached with LoadFlat, and the same bytes
+// mmapped from a file must be byte-identical — same frontiers, same
+// trees, same table counters — at workers 1 and 8, with the sub-frontier
+// cache on and off. This is the contract that makes where a blob lives
+// a storage detail rather than a behavioral change.
 
 import (
 	"bytes"
@@ -47,17 +47,8 @@ func TestCrossFormatDifferential(t *testing.T) {
 		}
 	}
 
-	// Backend 1: legacy gob, decoded into builder entries.
-	var gobBuf bytes.Buffer
-	if err := src.Save(&gobBuf); err != nil {
-		t.Fatal(err)
-	}
-	gobTab := lut.New()
-	if err := gobTab.Load(bytes.NewReader(gobBuf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-
-	// Backend 2: flat format attached as an in-memory blob.
+	// Backend 1: the generated table itself.
+	// Backend 2: its saved bytes attached as an in-memory blob.
 	var flatBuf bytes.Buffer
 	if err := src.SaveFlat(&flatBuf); err != nil {
 		t.Fatal(err)
@@ -82,7 +73,7 @@ func TestCrossFormatDifferential(t *testing.T) {
 		name string
 		tab  *lut.Table
 	}{
-		{"gob", gobTab},
+		{"generated", src},
 		{"flat-mem", memTab},
 		{"flat-mmap", mapTab},
 	}
@@ -117,7 +108,7 @@ func TestCrossFormatDifferential(t *testing.T) {
 					continue
 				}
 				if got != want {
-					t.Fatalf("%s: backend %s differs from gob baseline", name, be.name)
+					t.Fatalf("%s: backend %s differs from the generated table", name, be.name)
 				}
 			}
 		}
@@ -135,7 +126,7 @@ func TestCrossFormatDifferential(t *testing.T) {
 		h, m := be.tab.Counters()
 		ev, mat := be.tab.EvalCounters()
 		if h != refHits || m != refMisses || ev != refEval || mat != refMat {
-			t.Fatalf("%s counters (%d,%d,%d,%d) != gob (%d,%d,%d,%d)",
+			t.Fatalf("%s counters (%d,%d,%d,%d) != generated (%d,%d,%d,%d)",
 				be.name, h, m, ev, mat, refHits, refMisses, refEval, refMat)
 		}
 		if qe := be.tab.QueryErrors(); qe != 0 {

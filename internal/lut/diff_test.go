@@ -1,8 +1,6 @@
 package lut
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -11,14 +9,14 @@ import (
 	"testing"
 
 	"patlabor/internal/hanan"
-	"patlabor/internal/param"
 	"patlabor/internal/pareto"
 	"patlabor/internal/tree"
 )
 
-// queryReference is the pre-optimization Query: instantiate every stored
-// topology as a concrete tree, compact it, and Pareto-filter the
-// materialized items. The symbolic fast path must match it byte for byte.
+// queryReference is the pre-optimization Query: decode the net's entry
+// through the blob decoder, instantiate every stored topology as a
+// concrete tree, compact it, and Pareto-filter the materialized items.
+// The symbolic fast path must match it byte for byte.
 func queryReference(t *Table, net tree.Net) ([]pareto.Item[*tree.Tree], bool, error) {
 	n := net.Degree()
 	if n < 2 {
@@ -26,11 +24,9 @@ func queryReference(t *Table, net tree.Net) ([]pareto.Item[*tree.Tree], bool, er
 	}
 	r := hanan.RanksOf(net)
 	canon, tf := hanan.Canonical(r.Pattern)
-	t.mu.Lock()
-	e, ok := t.entries[canon.Key()]
-	t.mu.Unlock()
-	if !ok {
-		return nil, false, nil
+	e, ok, err := findEntry(t, canon.Key())
+	if err != nil || !ok {
+		return nil, false, err
 	}
 	items := make([]pareto.Item[*tree.Tree], 0, len(e.topos))
 	for _, topo := range e.topos {
@@ -42,6 +38,18 @@ func queryReference(t *Table, net tree.Net) ([]pareto.Item[*tree.Tree], bool, er
 		items = append(items, pareto.Item[*tree.Tree]{Sol: tr.Sol(), Val: tr})
 	}
 	return pareto.FilterItems(items), true, nil
+}
+
+// findEntry decodes key's entry from the first blob holding it, in the
+// table's lookup order.
+func findEntry(t *Table, key string) (entry, bool, error) {
+	for _, b := range t.snapshot().blobs {
+		if i, ok := b.find([]byte(key)); ok {
+			_, e, err := b.decodeEntry(i)
+			return e, err == nil, err
+		}
+	}
+	return entry{}, false, nil
 }
 
 func diffTable(t *testing.T, maxDegree int) *Table {
@@ -146,118 +154,16 @@ func TestQueryConcurrentScratch(t *testing.T) {
 	wg.Wait()
 }
 
-// oldDiskEntry/oldDiskTable replicate the wire structs the package wrote
-// before the format was version-tagged: no Version field, no precompiled
-// Sols. Gob matches struct fields by name, so encoding these is exactly
-// what a pre-change binary produced.
-type oldDiskEntry struct {
-	Key   string
-	Topos []param.Topology
-}
-
-type oldDiskTable struct {
-	Entries []oldDiskEntry
-	Degrees []int
-	Stats   []DegreeStats
-}
-
-// TestLoadOldFormat proves gob files written before the version tag and
-// the precompiled solutions still load: solutions are recompiled from the
-// stored topologies and queries answer identically.
-func TestLoadOldFormat(t *testing.T) {
-	src := diffTable(t, 4)
-	var old oldDiskTable
-	src.mu.Lock()
-	for k, e := range src.entries {
-		old.Entries = append(old.Entries, oldDiskEntry{Key: k, Topos: e.topos})
-	}
-	for d := range src.degrees {
-		old.Degrees = append(old.Degrees, d)
-	}
-	for _, s := range src.stats {
-		old.Stats = append(old.Stats, s)
-	}
-	src.mu.Unlock()
-
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
-		t.Fatal(err)
-	}
-	loaded := New()
-	if err := loaded.Load(&buf); err != nil {
-		t.Fatalf("loading old-format table: %v", err)
-	}
-	for d := 2; d <= 4; d++ {
-		if !loaded.Covers(d) {
-			t.Fatalf("old-format load does not cover degree %d", d)
-		}
-	}
-	loaded.mu.Lock()
-	for k, e := range loaded.entries {
-		if len(e.sols) != len(e.topos) {
-			t.Fatalf("entry %q: %d sols for %d topos after old-format load", k, len(e.sols), len(e.topos))
-		}
-	}
-	loaded.mu.Unlock()
-
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 40; trial++ {
-		net := randNet(rng, 2+rng.Intn(3), 300)
-		a, okA, errA := src.Query(net)
-		b, okB, errB := loaded.Query(net)
-		if errA != nil || errB != nil || okA != okB || len(a) != len(b) {
-			t.Fatalf("trial %d: divergence ok=%v/%v err=%v/%v len=%d/%d",
-				trial, okA, okB, errA, errB, len(a), len(b))
-		}
-		for i := range a {
-			if a[i].Sol != b[i].Sol || !reflect.DeepEqual(a[i].Val, b[i].Val) {
-				t.Fatalf("trial %d point %d: old-format table diverges", trial, i)
-			}
-		}
-	}
-}
-
-// TestSaveIncludesVersionAndSols checks the new wire format round trips
-// with its version tag and precompiled solutions intact (no lazy
-// recompilation needed), and that a future version is rejected.
-func TestSaveIncludesVersionAndSols(t *testing.T) {
-	src := diffTable(t, 3)
-	var buf bytes.Buffer
-	if err := src.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var dt diskTable
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&dt); err != nil {
-		t.Fatal(err)
-	}
-	if dt.Version != diskFormatVersion {
-		t.Fatalf("saved version %d, want %d", dt.Version, diskFormatVersion)
-	}
-	for _, e := range dt.Entries {
-		if len(e.Sols) != len(e.Topos) {
-			t.Fatalf("entry %q saved %d sols for %d topos", e.Key, len(e.Sols), len(e.Topos))
-		}
-	}
-	var future bytes.Buffer
-	dt.Version = diskFormatVersion + 1
-	if err := gob.NewEncoder(&future).Encode(dt); err != nil {
-		t.Fatal(err)
-	}
-	if err := New().Load(&future); err == nil {
-		t.Fatal("future format version accepted")
-	}
-}
-
-// TestSaveFileAtomic checks SaveFile leaves no temp litter, survives
+// TestSaveFileAtomic checks SaveFlatFile leaves no temp litter, survives
 // overwriting an existing file, and never exposes a truncated table.
 func TestSaveFileAtomic(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "tables.gob")
+	path := filepath.Join(dir, "tables.plut")
 	if err := os.WriteFile(path, []byte("garbage from an older run"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	src := diffTable(t, 3)
-	if err := src.SaveFile(path); err != nil {
+	if err := src.SaveFlatFile(path); err != nil {
 		t.Fatal(err)
 	}
 	loaded := New()
@@ -279,10 +185,10 @@ func TestSaveFileAtomic(t *testing.T) {
 	if err := os.Mkdir(roDir, 0o555); err != nil {
 		t.Fatal(err)
 	}
-	roPath := filepath.Join(roDir, "t.gob")
-	if err := src.SaveFile(roPath); err == nil {
+	roPath := filepath.Join(roDir, "t.plut")
+	if err := src.SaveFlatFile(roPath); err == nil {
 		if os.Getuid() != 0 { // root ignores directory permissions
-			t.Fatal("SaveFile into a read-only directory succeeded")
+			t.Fatal("SaveFlatFile into a read-only directory succeeded")
 		}
 	}
 }
@@ -313,25 +219,27 @@ func TestQueryCounters(t *testing.T) {
 		t.Fatalf("eval counters: evaluated=%d materialized=%d", evaluated, materialized)
 	}
 
-	// Corrupt one entry so instantiation fails: a rank coordinate outside
-	// the pattern's grid makes Instantiate error out.
+	// Corrupt one entry of a generated blob so instantiation fails: a
+	// rank coordinate outside the pattern's grid in every topology's root
+	// node makes Instantiate error out.
 	net := randNet(rng, 4, 200)
 	r := hanan.RanksOf(net)
 	canon, _ := hanan.Canonical(r.Pattern)
-	key := canon.Key()
-	tab.mu.Lock()
-	e := tab.entries[key]
-	bad := entry{topos: make([]param.Topology, len(e.topos)), sols: e.sols}
-	copy(bad.topos, e.topos)
-	for i := range bad.topos {
-		nodes := append([]param.RankNode(nil), bad.topos[i].Nodes...)
-		nodes[0].I = 120
-		bad.topos[i] = param.Topology{Nodes: nodes, Parent: bad.topos[i].Parent}
+	for _, b := range tab.snapshot().blobs {
+		i, ok := b.find([]byte(canon.Key()))
+		if !ok {
+			continue
+		}
+		fe, err := b.entryAt(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := 0
+		for _, end := range fe.topoEnds {
+			fe.topoBlob[start] = 120 // node 0's I
+			start = int(end)
+		}
 	}
-	tab.entries[key] = bad
-	tab.publishLocked()
-	tab.mu.Unlock()
-
 	if _, ok, err := tab.Query(net); err == nil || ok {
 		t.Fatalf("corrupted entry: ok=%v err=%v, want error", ok, err)
 	}

@@ -1,19 +1,20 @@
 package lut
 
-// Flat zero-copy table format.
+// Flat zero-copy table format — the one representation of a Table.
 //
-// The gob format (Save/Load) decodes the whole table into millions of
-// small heap objects — seconds of cold start and a private copy per
-// process for the larger degrees. The flat format instead lays the table
-// out as one contiguous blob designed to be queried directly from a
-// read-only memory mapping: a process starts answering queries
-// milliseconds after open, pages are faulted in on demand, and every
-// process mapping the same file shares one page-cache copy.
+// The table is laid out as one contiguous blob designed to be queried
+// directly from a read-only memory mapping: a process starts answering
+// queries milliseconds after open, pages are faulted in on demand, and
+// every process mapping the same file shares one page-cache copy.
+// Generated tables use the same bytes, held in ordinary memory.
 //
-// All multi-byte fields are little-endian. The symbolic coefficient rows
-// are read through aligned []int16 views of the mapping (no decode, no
-// allocation on the query path), so the loader refuses to open tables on
-// a big-endian host rather than silently mis-evaluating.
+// All multi-byte fields are in the writing host's native byte order —
+// little-endian on every common platform, so files there are
+// byte-for-byte the same everywhere. The symbolic coefficient rows are
+// read through aligned []int16 views of the blob (no decode, no
+// allocation on the query path); the endianness probe in the header
+// rejects a file written on a host of the other byte order rather than
+// silently mis-evaluating it.
 //
 //	header (64 bytes)
 //	  0  magic "PLUT"
@@ -44,13 +45,13 @@ package lut
 //	     u32 topoEnd[numSols]        cumulative end offsets into topoBlob
 //	     u8  topoBlob                per topology: numNodes*3 node bytes
 //	                                 (I,J,Sink as int8), then numNodes*2
-//	                                 parent bytes (LE int16); numNodes =
+//	                                 parent bytes (int16); numNodes =
 //	                                 recordLen/5
 //
 //	degree record (56 bytes)
 //	  u32 degree, u32 flags (bit0: fully covered), u32 numIndex,
 //	  u32 sampledOf, u32 shardCount, u32 reserved,
-//	  u64 shardsSeen (bitmap), u64 totalTopo, u64 pruned,
+//	  u64 shardsSeen (bitmap), u64 totalTopo, u64 reserved (written 0),
 //	  i64 generation wall-clock nanoseconds
 //
 // The open path validates the header and the whole index (bounds, order,
@@ -61,13 +62,13 @@ package lut
 // enforces this).
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 	"unsafe"
@@ -76,9 +77,7 @@ import (
 	"patlabor/internal/param"
 )
 
-// flatMagic tags flat-format files; gob streams can never start with it
-// (a gob stream begins with a type definition whose first byte is a
-// length), so LoadFile sniffs the format from the first four bytes.
+// flatMagic tags flat-format files.
 var flatMagic = [4]byte{'P', 'L', 'U', 'T'}
 
 const (
@@ -95,15 +94,6 @@ const (
 
 	flagCovered = 1 << 0
 )
-
-// hostLittleEndian reports whether the host stores integers little-endian
-// — the byte order the flat format is defined in. The coefficient arrays
-// are read through []int16 views of the raw bytes, so a big-endian host
-// must not open flat tables.
-func hostLittleEndian() bool {
-	x := uint16(0x0102)
-	return *(*byte)(unsafe.Pointer(&x)) == 0x02
-}
 
 // int16View reinterprets b as a []int16. b must be 2-aligned and of even
 // length; callers derive both from validated offsets.
@@ -133,9 +123,9 @@ func uint32View(b []byte) []uint32 {
 func align4(x int) int { return (x + 3) &^ 3 }
 func align8(x int) int { return (x + 7) &^ 7 }
 
-// flatBlob is one opened flat table: the raw bytes (mapped or read into
-// memory) plus the validated index section. It is immutable after open
-// and safe for concurrent readers.
+// flatBlob is one opened flat table: the raw bytes (mapped, read or
+// generated into memory) plus the validated index section. It is
+// immutable after open and safe for concurrent readers.
 type flatBlob struct {
 	data   []byte
 	mapped bool // true when data is a syscall mapping that needs Munmap
@@ -148,9 +138,6 @@ type flatBlob struct {
 // openFlatBlob validates data as a flat table and returns the blob view.
 // The returned blob aliases data.
 func openFlatBlob(data []byte) (*flatBlob, error) {
-	if !hostLittleEndian() {
-		return nil, fmt.Errorf("lut: flat tables are little-endian; this host is big-endian")
-	}
 	if len(data) < flatHeaderLen {
 		return nil, fmt.Errorf("lut: flat table truncated: %d header bytes", len(data))
 	}
@@ -162,24 +149,26 @@ func openFlatBlob(data []byte) (*flatBlob, error) {
 		copy(aligned, data)
 		data = aligned
 	}
-	le := binary.LittleEndian
+	ne := binary.NativeEndian
 	if [4]byte(data[0:4]) != flatMagic {
 		return nil, fmt.Errorf("lut: not a flat table (bad magic %q)", data[0:4])
 	}
-	if v := le.Uint16(data[4:]); v != flatVersion {
+	// The probe comes first: on a file from a host of the other byte
+	// order every later field reads byte-swapped.
+	if p := ne.Uint16(data[6:]); p != flatEndianProbe {
+		return nil, fmt.Errorf("lut: flat table endianness probe %#x, want %#x (written on a host of the other byte order?)", p, flatEndianProbe)
+	}
+	if v := ne.Uint16(data[4:]); v != flatVersion {
 		return nil, fmt.Errorf("lut: flat table format version %d is not the supported %d", v, flatVersion)
 	}
-	if p := le.Uint16(data[6:]); p != flatEndianProbe {
-		return nil, fmt.Errorf("lut: flat table endianness probe %#x, want %#x", p, flatEndianProbe)
-	}
 	size := uint64(len(data))
-	numEntries := le.Uint64(data[8:])
-	indexOff := le.Uint64(data[16:])
-	blobOff := le.Uint64(data[24:])
-	blobLen := le.Uint64(data[32:])
-	degOff := le.Uint64(data[40:])
-	degLen := le.Uint64(data[48:])
-	if fl := le.Uint64(data[56:]); fl != size {
+	numEntries := ne.Uint64(data[8:])
+	indexOff := ne.Uint64(data[16:])
+	blobOff := ne.Uint64(data[24:])
+	blobLen := ne.Uint64(data[32:])
+	degOff := ne.Uint64(data[40:])
+	degLen := ne.Uint64(data[48:])
+	if fl := ne.Uint64(data[56:]); fl != size {
 		return nil, fmt.Errorf("lut: flat table declares %d bytes, file has %d", fl, size)
 	}
 	if numEntries > (size-flatHeaderLen)/flatIndexRec {
@@ -219,8 +208,8 @@ func openFlatBlob(data []byte) (*flatBlob, error) {
 		if n < 2 || n > flatKeyLen-2 {
 			return nil, fmt.Errorf("lut: flat table record %d: degree %d out of range", i, n)
 		}
-		entryLen := uint64(le.Uint32(rec[20:]))
-		entryOff := le.Uint64(rec[24:])
+		entryLen := uint64(ne.Uint32(rec[20:]))
+		entryOff := ne.Uint64(rec[24:])
 		if entryOff%8 != 0 || entryOff > blobLen || entryLen > blobLen-entryOff {
 			return nil, fmt.Errorf("lut: flat table record %d: entry [%d,+%d) out of bounds", i, entryOff, entryLen)
 		}
@@ -228,18 +217,20 @@ func openFlatBlob(data []byte) (*flatBlob, error) {
 	return b, nil
 }
 
-// find returns the index-record position of key, or (-1, false).
+// find returns the index-record position of key, or (-1, false). Keys
+// lead with their degree byte, which also fixes their length, and the
+// index is sorted: a key whose degree lies outside the first and last
+// records' is rejected without a search (a query skips the blobs of other
+// degrees in O(1)), and comparing record prefixes of len(key) orders the
+// records exactly as their zero-padded keys do.
 func (b *flatBlob) find(key []byte) (int, bool) {
-	if len(key) > flatKeyLen {
+	if len(key) < 2 || len(key) != int(key[0])+2 || len(key) > flatKeyLen || b.n == 0 ||
+		key[0] < b.index[0] || key[0] > b.index[(b.n-1)*flatIndexRec] {
 		return -1, false
 	}
-	var padded [flatKeyLen]byte
-	copy(padded[:], key)
-	i := sort.Search(b.n, func(i int) bool {
-		rec := b.index[i*flatIndexRec:]
-		return bytes.Compare(rec[:flatKeyLen], padded[:]) >= 0
-	})
-	if i < b.n && bytes.Equal(b.index[i*flatIndexRec:i*flatIndexRec+flatKeyLen], padded[:]) {
+	recKey := func(i int) []byte { return b.index[i*flatIndexRec : i*flatIndexRec+len(key)] }
+	i := sort.Search(b.n, func(i int) bool { return bytes.Compare(recKey(i), key) >= 0 })
+	if i < b.n && bytes.Equal(recKey(i), key) {
 		return i, true
 	}
 	return -1, false
@@ -261,21 +252,21 @@ type flatEntry struct {
 // entryAt parses and bounds-checks entry i. Corrupt payloads return an
 // error; they can never read outside the blob.
 func (b *flatBlob) entryAt(i int) (flatEntry, error) {
-	le := binary.LittleEndian
+	ne := binary.NativeEndian
 	rec := b.index[i*flatIndexRec : (i+1)*flatIndexRec]
 	key := rec[:flatKeyLen]
 	n := int(key[0])
-	entryLen := int(le.Uint32(rec[20:]))
-	entryOff := int(le.Uint64(rec[24:])) // bounds validated at open
+	entryLen := int(ne.Uint32(rec[20:]))
+	entryOff := int(ne.Uint64(rec[24:])) // bounds validated at open
 	e := b.blob[entryOff : entryOff+entryLen]
 	if entryLen < 16 {
 		return flatEntry{}, fmt.Errorf("lut: flat entry %d: %d bytes, want >= 16", i, entryLen)
 	}
 	fe := flatEntry{key: key[:n+2], dim: 2 * (n - 1)}
-	numSols := int(le.Uint32(e[0:]))
-	totalRows := int(le.Uint32(e[4:]))
-	topoArrOff := int(le.Uint32(e[8:]))
-	topoBlobLen := int(le.Uint32(e[12:]))
+	numSols := int(ne.Uint32(e[0:]))
+	totalRows := int(ne.Uint32(e[4:]))
+	topoArrOff := int(ne.Uint32(e[8:]))
+	topoBlobLen := int(ne.Uint32(e[12:]))
 	// All section extents are recomputed from the counts and checked
 	// against the declared layout, so a lying header cannot move a view
 	// out of the entry.
@@ -311,10 +302,10 @@ func (fe *flatEntry) dRow(r int) param.Vec {
 	return param.Vec(fe.d[r*fe.dim : (r+1)*fe.dim])
 }
 
-// decodeTopo reconstructs stored topology s as a param.Topology. Only
-// frontier winners are decoded, so the per-winner allocations sit next to
-// the tree materialization they feed.
-func (fe *flatEntry) decodeTopo(s int) (param.Topology, error) {
+// decodeTopo reconstructs stored topology s as a param.Topology whose
+// node and parent arrays reuse the capacity of nodes and parents (nil
+// allocates). Queries decode only frontier winners, into pooled scratch.
+func (fe *flatEntry) decodeTopo(s int, nodes []param.RankNode, parents []int16) (param.Topology, error) {
 	start := 0
 	if s > 0 {
 		start = int(fe.topoEnds[s-1])
@@ -328,18 +319,17 @@ func (fe *flatEntry) decodeTopo(s int) (param.Topology, error) {
 		return param.Topology{}, fmt.Errorf("lut: flat topology %d of key %q: %d nodes", s, fe.key, numNodes)
 	}
 	rec := fe.topoBlob[start:end]
-	nodes := make([]param.RankNode, numNodes)
-	parents := make([]int16, numNodes)
+	nodes, parents = nodes[:0], parents[:0]
 	for i := 0; i < numNodes; i++ {
-		nodes[i] = param.RankNode{
+		nodes = append(nodes, param.RankNode{
 			I:    int8(rec[3*i]),
 			J:    int8(rec[3*i+1]),
 			Sink: int8(rec[3*i+2]),
-		}
+		})
 	}
 	pb := rec[3*numNodes:]
 	for i := 0; i < numNodes; i++ {
-		p := int16(binary.LittleEndian.Uint16(pb[2*i:]))
+		p := int16(binary.NativeEndian.Uint16(pb[2*i:]))
 		if i == 0 {
 			if p != -1 {
 				return param.Topology{}, fmt.Errorf("lut: flat topology %d of key %q: root parent %d", s, fe.key, p)
@@ -347,13 +337,13 @@ func (fe *flatEntry) decodeTopo(s int) (param.Topology, error) {
 		} else if p < 0 || int(p) >= numNodes {
 			return param.Topology{}, fmt.Errorf("lut: flat topology %d of key %q: parent %d out of range", s, fe.key, p)
 		}
-		parents[i] = p
+		parents = append(parents, p)
 	}
 	return param.Topology{Nodes: nodes, Parent: parents}, nil
 }
 
-// decodeEntry materializes a whole flat entry as an in-memory entry:
-// the merge and convert paths need builder-backend copies.
+// decodeEntry materializes entry i of the blob in decoded form, for
+// re-encoding (SaveFlat merges every blob of a table into one file).
 func (b *flatBlob) decodeEntry(i int) (string, entry, error) {
 	fe, err := b.entryAt(i)
 	if err != nil {
@@ -375,7 +365,7 @@ func (b *flatBlob) decodeEntry(i int) (string, entry, error) {
 		}
 		dOff += rows
 		ent.sols[s] = sol
-		ent.topos[s], err = fe.decodeTopo(s)
+		ent.topos[s], err = fe.decodeTopo(s, nil, nil)
 		if err != nil {
 			return "", entry{}, err
 		}
@@ -383,69 +373,42 @@ func (b *flatBlob) decodeEntry(i int) (string, entry, error) {
 	return string(fe.key), ent, nil
 }
 
-// parseFlatDegrees reads the degree section of an opened blob.
-func parseFlatDegrees(data []byte) ([]DegreeStats, []bool) {
-	le := binary.LittleEndian
-	n := len(data) / flatDegreeRec
-	stats := make([]DegreeStats, n)
-	covered := make([]bool, n)
-	for i := 0; i < n; i++ {
-		r := data[i*flatDegreeRec:]
-		stats[i] = DegreeStats{
-			Degree:     int(le.Uint32(r[0:])),
-			NumIndex:   int(le.Uint32(r[8:])),
-			SampledOf:  int(le.Uint32(r[12:])),
-			ShardCount: int(le.Uint32(r[16:])),
-			ShardsSeen: le.Uint64(r[24:]),
-			TotalTopo:  int(le.Uint64(r[32:])),
-			Pruned:     int(le.Uint64(r[40:])),
-			GenTime:    time.Duration(int64(le.Uint64(r[48:]))),
-		}
-		covered[i] = le.Uint32(r[4:])&flagCovered != 0
-	}
-	return stats, covered
+// degreeRecord is one degree's statistics plus its coverage flag, as
+// stored in the degree section.
+type degreeRecord struct {
+	DegreeStats
+	covered bool
 }
 
-// SaveFlat writes the table in the flat zero-copy format. Entries come
-// from the builder backend and every attached flat backend (so convert
-// and merge round trips keep all content); keys are written sorted, the
-// layout every flat reader binary-searches.
-func (t *Table) SaveFlat(w io.Writer) error {
-	keys, entries, err := t.snapshotEntries()
-	if err != nil {
-		return err
-	}
-	t.mu.Lock()
-	degrees := make([]int, 0, len(t.stats))
-	for d := range t.stats {
-		degrees = append(degrees, d)
-	}
-	sort.Ints(degrees)
-	degRecs := make([]DegreeStats, len(degrees))
-	covered := make([]bool, len(degrees))
-	for i, d := range degrees {
-		degRecs[i] = t.stats[d]
-		covered[i] = t.degrees[d]
-	}
-	// Degrees marked covered without a stats row (possible after merging
-	// old gob files) still need a record, or the coverage would be lost.
-	var extra []int
-	for d := range t.degrees {
-		if _, ok := t.stats[d]; !ok {
-			extra = append(extra, d)
+// parseFlatDegrees reads the degree section of an opened blob.
+func parseFlatDegrees(data []byte) []degreeRecord {
+	ne := binary.NativeEndian
+	recs := make([]degreeRecord, len(data)/flatDegreeRec)
+	for i := range recs {
+		r := data[i*flatDegreeRec:]
+		recs[i] = degreeRecord{
+			DegreeStats: DegreeStats{
+				Degree:     int(ne.Uint32(r[0:])),
+				NumIndex:   int(ne.Uint32(r[8:])),
+				SampledOf:  int(ne.Uint32(r[12:])),
+				ShardCount: int(ne.Uint32(r[16:])),
+				ShardsSeen: ne.Uint64(r[24:]),
+				TotalTopo:  int(ne.Uint64(r[32:])),
+				GenTime:    time.Duration(int64(ne.Uint64(r[48:]))),
+			},
+			covered: ne.Uint32(r[4:])&flagCovered != 0,
 		}
 	}
-	sort.Ints(extra)
-	for _, d := range extra {
-		degRecs = append(degRecs, DegreeStats{Degree: d})
-		covered = append(covered, true)
-	}
-	t.mu.Unlock()
+	return recs
+}
 
-	le := binary.LittleEndian
+// encodeFlat lays out one flat table: keys must be sorted and strictly
+// increasing, entries index-aligned with keys, and degs one record per
+// degree.
+func encodeFlat(keys []string, entries []entry, degs []degreeRecord) ([]byte, error) {
 	// Pass 1: per-entry layout.
 	type entryLayout struct {
-		off, size int
+		off, size, totalRows, topoArrOff int
 	}
 	layouts := make([]entryLayout, len(keys))
 	blobLen := 0
@@ -454,146 +417,148 @@ func (t *Table) SaveFlat(w io.Writer) error {
 		n := int(k[0])
 		dim := 2 * (n - 1)
 		numSols := len(e.sols)
+		if len(k) > flatKeyLen {
+			return nil, fmt.Errorf("lut: entry key %q longer than %d bytes", k, flatKeyLen)
+		}
 		if len(e.topos) != numSols {
-			return fmt.Errorf("lut: entry %q has %d topologies but %d solutions", k, len(e.topos), numSols)
+			return nil, fmt.Errorf("lut: entry %q has %d topologies but %d solutions", k, len(e.topos), numSols)
 		}
 		totalRows := 0
 		topoBlobLen := 0
 		for s := 0; s < numSols; s++ {
 			if len(e.sols[s].W) != dim {
-				return fmt.Errorf("lut: entry %q solution %d: W dimension %d, want %d", k, s, len(e.sols[s].W), dim)
+				return nil, fmt.Errorf("lut: entry %q solution %d: W dimension %d, want %d", k, s, len(e.sols[s].W), dim)
 			}
 			for _, row := range e.sols[s].D {
 				if len(row) != dim {
-					return fmt.Errorf("lut: entry %q solution %d: D dimension %d, want %d", k, s, len(row), dim)
+					return nil, fmt.Errorf("lut: entry %q solution %d: D dimension %d, want %d", k, s, len(row), dim)
 				}
 			}
 			totalRows += len(e.sols[s].D)
 			nn := len(e.topos[s].Nodes)
 			if nn < 1 || nn > flatMaxNodes || len(e.topos[s].Parent) != nn {
-				return fmt.Errorf("lut: entry %q topology %d: %d nodes / %d parents", k, s, nn, len(e.topos[s].Parent))
+				return nil, fmt.Errorf("lut: entry %q topology %d: %d nodes / %d parents", k, s, nn, len(e.topos[s].Parent))
 			}
 			topoBlobLen += 5 * nn
 		}
 		topoArrOff := align4(16 + 2*numSols + 2*numSols*dim + 2*totalRows*dim)
 		size := topoArrOff + 4*numSols + topoBlobLen
-		layouts[i] = entryLayout{off: blobLen, size: size}
+		layouts[i] = entryLayout{off: blobLen, size: size, totalRows: totalRows, topoArrOff: topoArrOff}
 		blobLen += align8(size)
 	}
-	indexOff := uint64(flatHeaderLen)
-	blobOff := indexOff + uint64(len(keys))*flatIndexRec
-	degOff := blobOff + uint64(blobLen)
-	degLen := uint64(len(degRecs)) * flatDegreeRec
-	fileLen := degOff + degLen
+	indexOff := flatHeaderLen
+	blobOff := indexOff + len(keys)*flatIndexRec
+	degOff := blobOff + blobLen
+	degLen := len(degs) * flatDegreeRec
+	buf := make([]byte, degOff+degLen)
 
-	bw := bufio.NewWriterSize(w, 1<<20)
-	var hdr [flatHeaderLen]byte
-	copy(hdr[0:4], flatMagic[:])
-	le.PutUint16(hdr[4:], flatVersion)
-	le.PutUint16(hdr[6:], flatEndianProbe)
-	le.PutUint64(hdr[8:], uint64(len(keys)))
-	le.PutUint64(hdr[16:], indexOff)
-	le.PutUint64(hdr[24:], blobOff)
-	le.PutUint64(hdr[32:], uint64(blobLen))
-	le.PutUint64(hdr[40:], degOff)
-	le.PutUint64(hdr[48:], degLen)
-	le.PutUint64(hdr[56:], fileLen)
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	var rec [flatIndexRec]byte
+	ne := binary.NativeEndian
+	copy(buf[0:4], flatMagic[:])
+	ne.PutUint16(buf[4:], flatVersion)
+	ne.PutUint16(buf[6:], flatEndianProbe)
+	ne.PutUint64(buf[8:], uint64(len(keys)))
+	ne.PutUint64(buf[16:], uint64(indexOff))
+	ne.PutUint64(buf[24:], uint64(blobOff))
+	ne.PutUint64(buf[32:], uint64(blobLen))
+	ne.PutUint64(buf[40:], uint64(degOff))
+	ne.PutUint64(buf[48:], uint64(degLen))
+	ne.PutUint64(buf[56:], uint64(len(buf)))
 	for i, k := range keys {
-		clear(rec[:])
+		rec := buf[indexOff+i*flatIndexRec:]
 		copy(rec[:flatKeyLen], k)
-		le.PutUint32(rec[20:], uint32(layouts[i].size))
-		le.PutUint64(rec[24:], uint64(layouts[i].off))
-		if _, err := bw.Write(rec[:]); err != nil {
-			return err
-		}
+		ne.PutUint32(rec[20:], uint32(layouts[i].size))
+		ne.PutUint64(rec[24:], uint64(layouts[i].off))
 	}
-	var scratch []byte
 	for i, k := range keys {
 		e := entries[i]
-		n := int(k[0])
-		dim := 2 * (n - 1)
+		lay := layouts[i]
+		dim := 2 * (int(k[0]) - 1)
 		numSols := len(e.sols)
-		size := align8(layouts[i].size)
-		if cap(scratch) < size {
-			scratch = make([]byte, size)
-		}
-		buf := scratch[:size]
-		clear(buf)
-		totalRows := 0
-		for s := range e.sols {
-			totalRows += len(e.sols[s].D)
-		}
-		topoArrOff := align4(16 + 2*numSols + 2*numSols*dim + 2*totalRows*dim)
-		le.PutUint32(buf[0:], uint32(numSols))
-		le.PutUint32(buf[4:], uint32(totalRows))
-		le.PutUint32(buf[8:], uint32(topoArrOff))
-		le.PutUint32(buf[12:], uint32(layouts[i].size-(topoArrOff+4*numSols)))
+		out := buf[blobOff+lay.off : blobOff+lay.off+lay.size]
+		ne.PutUint32(out[0:], uint32(numSols))
+		ne.PutUint32(out[4:], uint32(lay.totalRows))
+		ne.PutUint32(out[8:], uint32(lay.topoArrOff))
+		ne.PutUint32(out[12:], uint32(lay.size-(lay.topoArrOff+4*numSols)))
 		rcOff := 16
 		wOff := rcOff + 2*numSols
 		dOff := wOff + 2*numSols*dim
 		row := 0
 		for s := range e.sols {
 			sol := &e.sols[s]
-			le.PutUint16(buf[rcOff+2*s:], uint16(len(sol.D)))
+			ne.PutUint16(out[rcOff+2*s:], uint16(len(sol.D)))
 			for kk, c := range sol.W {
-				le.PutUint16(buf[wOff+2*(s*dim+kk):], uint16(c))
+				ne.PutUint16(out[wOff+2*(s*dim+kk):], uint16(c))
 			}
 			for _, dr := range sol.D {
 				for kk, c := range dr {
-					le.PutUint16(buf[dOff+2*(row*dim+kk):], uint16(c))
+					ne.PutUint16(out[dOff+2*(row*dim+kk):], uint16(c))
 				}
 				row++
 			}
 		}
-		topoOff := topoArrOff + 4*numSols
+		topoOff := lay.topoArrOff + 4*numSols
 		cum := 0
 		for s := range e.topos {
 			tp := &e.topos[s]
 			nn := len(tp.Nodes)
 			for j, nd := range tp.Nodes {
-				buf[topoOff+cum+3*j] = byte(nd.I)
-				buf[topoOff+cum+3*j+1] = byte(nd.J)
-				buf[topoOff+cum+3*j+2] = byte(nd.Sink)
+				out[topoOff+cum+3*j] = byte(nd.I)
+				out[topoOff+cum+3*j+1] = byte(nd.J)
+				out[topoOff+cum+3*j+2] = byte(nd.Sink)
 			}
 			pb := topoOff + cum + 3*nn
 			for j, p := range tp.Parent {
-				le.PutUint16(buf[pb+2*j:], uint16(p))
+				ne.PutUint16(out[pb+2*j:], uint16(p))
 			}
 			cum += 5 * nn
-			le.PutUint32(buf[topoArrOff+4*s:], uint32(cum))
-		}
-		if _, err := bw.Write(buf); err != nil {
-			return err
+			ne.PutUint32(out[lay.topoArrOff+4*s:], uint32(cum))
 		}
 	}
-	var dr [flatDegreeRec]byte
-	for i := range degRecs {
-		s := &degRecs[i]
-		clear(dr[:])
-		le.PutUint32(dr[0:], uint32(s.Degree))
-		if covered[i] {
-			le.PutUint32(dr[4:], flagCovered)
+	for i := range degs {
+		s := &degs[i]
+		dr := buf[degOff+i*flatDegreeRec:]
+		ne.PutUint32(dr[0:], uint32(s.Degree))
+		if s.covered {
+			ne.PutUint32(dr[4:], flagCovered)
 		}
-		le.PutUint32(dr[8:], uint32(s.NumIndex))
-		le.PutUint32(dr[12:], uint32(s.SampledOf))
-		le.PutUint32(dr[16:], uint32(s.ShardCount))
-		le.PutUint64(dr[24:], s.ShardsSeen)
-		le.PutUint64(dr[32:], uint64(s.TotalTopo))
-		le.PutUint64(dr[40:], uint64(s.Pruned))
-		le.PutUint64(dr[48:], uint64(s.GenTime.Nanoseconds()))
-		if _, err := bw.Write(dr[:]); err != nil {
-			return err
-		}
+		ne.PutUint32(dr[8:], uint32(s.NumIndex))
+		ne.PutUint32(dr[12:], uint32(s.SampledOf))
+		ne.PutUint32(dr[16:], uint32(s.ShardCount))
+		ne.PutUint64(dr[24:], s.ShardsSeen)
+		ne.PutUint64(dr[32:], uint64(s.TotalTopo))
+		ne.PutUint64(dr[48:], uint64(s.GenTime.Nanoseconds()))
 	}
-	return bw.Flush()
+	return buf, nil
 }
 
-// SaveFlatFile writes the flat table to path atomically (temp + rename),
-// like SaveFile does for the gob format.
+// SaveFlat writes the table in the flat format: every entry of every
+// blob (earliest blob first on a key collision, as in Query) with keys
+// sorted, the layout every flat reader binary-searches, plus one degree
+// record per degree.
+func (t *Table) SaveFlat(w io.Writer) error {
+	keys, entries, err := t.snapshotEntries()
+	if err != nil {
+		return err
+	}
+	t.mu.Lock()
+	degs := make([]degreeRecord, 0, len(t.stats))
+	for d, st := range t.stats {
+		degs = append(degs, degreeRecord{DegreeStats: st, covered: t.degrees[d]})
+	}
+	t.mu.Unlock()
+	slices.SortFunc(degs, func(a, b degreeRecord) int { return a.Degree - b.Degree })
+	data, err := encodeFlat(keys, entries, degs)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(data)
+	return err
+}
+
+// SaveFlatFile writes the flat table to path atomically: the bytes go to
+// a temporary file in the target directory which is renamed into place
+// only after a successful write, so an interrupted run never leaves a
+// truncated table behind.
 func (t *Table) SaveFlatFile(path string) error {
 	return atomicWrite(path, t.SaveFlat)
 }
@@ -629,19 +594,12 @@ func atomicWrite(path string, save func(io.Writer) error) error {
 	return nil
 }
 
-// snapshotEntries returns every entry of the table — builder map plus all
-// attached flat backends — as aligned key/entry slices sorted by key.
-// Flat entries are materialized (decoded) here; the builder map wins on
-// key collisions, then earlier-attached blobs, matching Query's order.
+// snapshotEntries decodes every entry of the table into key-sorted,
+// index-aligned slices. Blobs are searched in attach order and the
+// earliest wins a key collision, matching Query.
 func (t *Table) snapshotEntries() ([]string, []entry, error) {
-	t.mu.Lock()
-	merged := make(map[string]entry, len(t.entries))
-	flats := t.flats
-	for k, e := range t.entries {
-		merged[k] = e
-	}
-	t.mu.Unlock()
-	for _, b := range flats {
+	merged := map[string]entry{}
+	for _, b := range t.snapshot().blobs {
 		for i := 0; i < b.n; i++ {
 			k, e, err := b.decodeEntry(i)
 			if err != nil {
@@ -652,14 +610,21 @@ func (t *Table) snapshotEntries() ([]string, []entry, error) {
 			}
 		}
 	}
-	keys := make([]string, 0, len(merged))
-	for k := range merged {
+	keys, entries := sortedEntries(merged)
+	return keys, entries, nil
+}
+
+// sortedEntries returns the map's keys in sorted order with their
+// entries index-aligned.
+func sortedEntries(m map[string]entry) ([]string, []entry) {
+	keys := make([]string, 0, len(m))
+	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	entries := make([]entry, len(keys))
 	for i, k := range keys {
-		entries[i] = merged[k]
+		entries[i] = m[k]
 	}
-	return keys, entries, nil
+	return keys, entries
 }

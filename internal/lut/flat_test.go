@@ -116,60 +116,56 @@ func TestFlatFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadFileSniffsGob proves LoadFile still reads legacy gob files.
-func TestLoadFileSniffsGob(t *testing.T) {
-	src := diffTable(t, 3)
-	path := filepath.Join(t.TempDir(), "t.gob")
-	if err := src.SaveFile(path); err != nil {
-		t.Fatal(err)
+// gobTable is a complete gob stream of a small table struct, the shape of
+// the retired .lut format's files.
+const gobTable = "/\x7f\x03\x01\x01\tdiskTable\x01\xff\x80\x00\x01\x02\x01\aVersion\x01\x04\x00" +
+	"\x01\aDegrees\x01\xff\x82\x00\x00\x00\x13\xff\x81\x02\x01\x01\x05[]int\x01\xff\x82\x00\x01" +
+	"\x04\x00\x00\t\xff\x80\x01\x04\x01\x02\x04\x06\x00"
+
+// TestLoadFileRejectsNonFlat proves LoadFile accepts only flat tables: a
+// gob stream (the retired format) and garbage both return an error and
+// leave the table unchanged.
+func TestLoadFileRejectsNonFlat(t *testing.T) {
+	dir := t.TempDir()
+	tab := diffTable(t, 3)
+	for name, data := range map[string][]byte{
+		"gob":     []byte(gobTable),
+		"garbage": []byte("PLUX not a lookup table"),
+		"empty":   nil,
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := tab.LoadFile(path); err == nil {
+			t.Fatalf("%s file accepted", name)
+		}
 	}
-	loaded := New()
-	if err := loaded.LoadFile(path); err != nil {
-		t.Fatal(err)
+	if n := len(tab.snapshot().blobs); n != 2 {
+		t.Fatalf("rejected loads changed the table: %d blobs, want 2", n)
 	}
-	if !loaded.Covers(3) {
-		t.Fatal("gob file loaded through LoadFile does not cover degree 3")
+	if _, mapped := tab.LoadInfo(); mapped != 0 {
+		t.Fatalf("rejected loads left %d bytes mapped", mapped)
 	}
-	compareTables(t, src, loaded, []int{2, 3}, 30, 93)
 }
 
-// TestConvertBothDirections proves the migration path round trips:
-// gob -> flat (the lutgen -convert direction) and flat-backed -> gob.
-func TestConvertBothDirections(t *testing.T) {
+// TestCloseKeepsGeneratedDegrees proves Close releases only file-backed
+// blobs: after LoadFile then Close, the degrees generated in memory
+// still answer exactly as before.
+func TestCloseKeepsGeneratedDegrees(t *testing.T) {
 	src := diffTable(t, 4)
-
-	// gob -> flat.
-	var gobBuf bytes.Buffer
-	if err := src.Save(&gobBuf); err != nil {
+	path := filepath.Join(t.TempDir(), "t.plut")
+	if err := src.SaveFlatFile(path); err != nil {
 		t.Fatal(err)
 	}
-	fromGob := New()
-	if err := fromGob.Load(&gobBuf); err != nil {
+	tab := diffTable(t, 3)
+	if err := tab.LoadFile(path); err != nil {
 		t.Fatal(err)
 	}
-	var flatBuf bytes.Buffer
-	if err := fromGob.SaveFlat(&flatBuf); err != nil {
+	if err := tab.Close(); err != nil {
 		t.Fatal(err)
 	}
-	flat := New()
-	if err := flat.LoadFlat(flatBuf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	compareTables(t, src, flat, []int{2, 3, 4}, 40, 94)
-
-	// flat-backed -> gob: Save must snapshot the flat backend's entries.
-	var backBuf bytes.Buffer
-	if err := flat.Save(&backBuf); err != nil {
-		t.Fatal(err)
-	}
-	back := New()
-	if err := back.Load(&backBuf); err != nil {
-		t.Fatal(err)
-	}
-	if !back.Covers(4) {
-		t.Fatal("gob re-export of a flat-backed table lost coverage")
-	}
-	compareTables(t, src, back, []int{2, 3, 4}, 40, 95)
+	compareTables(t, src, tab, []int{2, 3}, 30, 93)
 }
 
 // TestShardGenerateMerge splits degree-5 generation across shards in
@@ -224,7 +220,7 @@ func TestShardGenerateMerge(t *testing.T) {
 		t.Fatalf("stats rows: %d/%d", len(fullStats), len(mergedStats))
 	}
 	fs, ms := fullStats[0], mergedStats[0]
-	if ms.NumIndex != fs.NumIndex || ms.TotalTopo != fs.TotalTopo || ms.Pruned != fs.Pruned {
+	if ms.NumIndex != fs.NumIndex || ms.TotalTopo != fs.TotalTopo {
 		t.Fatalf("merged stats %+v, full generation %+v", ms, fs)
 	}
 	if ms.ShardCount != 0 || ms.ShardsSeen != 0 {
@@ -298,52 +294,6 @@ func TestFlatRejectsCorrupt(t *testing.T) {
 	// And the pristine bytes still load after all that mutation.
 	if err := New().LoadFlat(good); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestPrunedStatsRecorded checks the generation-time dominance-prune
-// accounting. The symbolic DP's in-flight Lemma-1 filter already leaves
-// enumerated classes mutually irredundant at the shipped degrees, so the
-// final DominancePrune pass — the backstop that bounds class sizes if
-// reconstruction ever yields redundant members — should count zero there;
-// the Pruned statistic itself must survive both disk formats.
-func TestPrunedStatsRecorded(t *testing.T) {
-	tab := New()
-	if err := tab.Generate(5, 0); err != nil {
-		t.Fatal(err)
-	}
-	st := tab.Stats()[0]
-	if st.Pruned != 0 {
-		t.Fatalf("degree 5: in-flight filter missed %d redundant topologies", st.Pruned)
-	}
-	if st.TotalTopo <= 0 {
-		t.Fatalf("TotalTopo = %d", st.TotalTopo)
-	}
-	// Plumbing: a nonzero Pruned count round-trips through flat and gob.
-	tab.mu.Lock()
-	st = tab.stats[5]
-	st.Pruned = 7
-	tab.stats[5] = st
-	tab.mu.Unlock()
-	var flatBuf, gobBuf bytes.Buffer
-	if err := tab.SaveFlat(&flatBuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.Save(&gobBuf); err != nil {
-		t.Fatal(err)
-	}
-	fromFlat, fromGob := New(), New()
-	if err := fromFlat.LoadFlat(flatBuf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if err := fromGob.Load(&gobBuf); err != nil {
-		t.Fatal(err)
-	}
-	if got := fromFlat.Stats()[0].Pruned; got != 7 {
-		t.Fatalf("flat round trip lost Pruned: %d", got)
-	}
-	if got := fromGob.Stats()[0].Pruned; got != 7 {
-		t.Fatalf("gob round trip lost Pruned: %d", got)
 	}
 }
 

@@ -12,8 +12,7 @@ import (
 // fails to load or loads into a table whose every access stays in bounds
 // — never a panic, index error, or out-of-range read. Both outcomes are
 // exercised: blobs that open are queried across the covered degrees and
-// fully decoded through both save paths (the convert direction reads
-// every entry payload).
+// fully decoded by SaveFlat, which reads every entry payload.
 //
 // Seeds include a genuine saved table plus its truncations and targeted
 // header mutations; testdata/fuzz/FuzzFlatLoad holds committed degenerate
@@ -55,9 +54,8 @@ func FuzzFlatLoad(f *testing.F) {
 				_, _, _ = tab.Query(randNet(rng, d, 8))
 			}
 		}
-		// Full decode of every entry (the convert/merge path); errors are
-		// fine, panics are the bug.
+		// Full decode of every entry (the merge path); errors are fine,
+		// panics are the bug.
 		_ = tab.SaveFlat(io.Discard)
-		_ = tab.Save(io.Discard)
 	})
 }

@@ -13,25 +13,22 @@
 // construction, Compact pass, and allocations for every dominated
 // topology.
 //
-// Generation parallelises over patterns and applies dominance pruning
-// (param.DominancePrune) so stored class sizes stay bounded as the degree
-// grows; it can be sharded deterministically across invocations
-// (GenerateShard) and the shard files merged later. Tables serialise in
-// two formats: the flat zero-copy format (SaveFlat/flat.go, preferred —
-// millisecond cold start via mmap) and the legacy version-tagged
-// encoding/gob format (Save, kept so existing .lut files load). LoadFile
-// sniffs the format from the leading magic bytes.
+// A table has one storage format, the flat zero-copy layout of flat.go,
+// and one query evaluator over it. Generation parallelises over patterns,
+// encodes the resulting entries into an in-memory flat blob and attaches
+// it exactly as LoadFlat attaches a caller's buffer; LoadFile attaches a
+// table file the same way, memory-mapped where the platform supports it
+// (millisecond cold start). Generation can be sharded deterministically
+// across invocations (GenerateShard) and the shard files merged later.
 package lut
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math/bits"
 	"os"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,46 +39,41 @@ import (
 	"patlabor/internal/tree"
 )
 
-// entry is one canonical pattern's stored class: the potentially
+// entry is one canonical pattern's class in decoded form: the potentially
 // Pareto-optimal topologies plus their precompiled coefficient solutions
-// (sols[i] == topos[i].Solution(n)). Both slices are immutable once the
-// entry is published in the table.
-//
-//patlint:shared published entries alias the table; lookups must not write them
+// (sols[i] == topos[i].Solution(n)). Generation produces entries and the
+// flat encoder stores them; tables never query this form.
 type entry struct {
 	topos []param.Topology
 	sols  []param.Solution
 }
 
 // Table maps canonical pattern keys to their potentially Pareto-optimal
-// topologies. A Table may cover several degrees. Behind the lookup API sit
-// two backends: the in-memory builder backend (the entries map, fed by
-// Generate/Load) and zero or more read-only flat backends (memory-mapped
-// or in-buffer blobs attached by LoadFile/LoadFlat, queried without
-// decoding). The builder backend wins on key collisions, then flat
-// backends in attach order, so lookup order is deterministic.
+// topologies. A Table may cover several degrees. It consists of its
+// degree coverage, its per-degree statistics, and an ordered list of
+// read-only flat blobs: generated in memory (Generate), attached from a
+// file (LoadFile, memory-mapped where possible) or from a caller's buffer
+// (LoadFlat). Lookups search the blobs in attach order and the earliest
+// blob wins a key collision, so lookup order is deterministic.
 //
 // All methods are safe for concurrent use. The read path is lock free:
 // Query, Covers and MaxCovered load an immutable snapshot through an
 // atomic pointer and never touch the mutex, so a table shared by every
-// worker of a batch engine adds no serialisation to the per-net path —
-// once built, the table behaves like the immutable mmapped blob it
-// usually is. Mutations (Generate/Load/LoadFile/Close) run under the
-// writer mutex against the canonical maps and publish a fresh snapshot
-// when done; a query concurrent with a merge sees either the old or the
-// new table, never a partial one. The query counters are atomics, each
-// padded to its own cache line so hot updates from different workers do
-// not false-share.
+// worker of a batch engine adds no serialisation to the per-net path.
+// Mutations (Generate/LoadFlat/LoadFile/Close) run under the writer mutex
+// and publish a fresh snapshot when done; a query concurrent with a merge
+// sees either the old or the new table, never a partial one. The query
+// counters are atomics, each padded to its own cache line so hot updates
+// from different workers do not false-share.
 type Table struct {
 	// snap is the immutable read-path view; see tableSnapshot.
 	snap atomic.Pointer[tableSnapshot]
 
 	// mu guards the canonical writer state below. Readers never take it.
 	mu      sync.Mutex
-	entries map[string]entry
 	degrees map[int]bool
 	stats   map[int]DegreeStats
-	flats   []*flatBlob // read-only flat backends, attach order
+	blobs   []*flatBlob // attach order
 
 	hits      paddedCount
 	misses    paddedCount
@@ -103,16 +95,15 @@ type paddedCount struct {
 }
 
 // tableSnapshot is the immutable view the lock-free read path consults:
-// a copy of the builder entries, the covered-degree set, and the flat
-// backends at publish time. Snapshots are never mutated after the atomic
-// pointer store — writers build a fresh one per mutation — so readers
-// can use one without synchronisation for as long as they hold it.
+// the covered-degree set and the blob list at publish time. Snapshots are
+// never mutated after the atomic pointer store — writers build a fresh
+// one per mutation — so readers can use one without synchronisation for
+// as long as they hold it.
 //
 //patlint:shared lock-free readers hold snapshots without synchronisation
 type tableSnapshot struct {
-	entries map[string]entry
 	degrees map[int]bool
-	flats   []*flatBlob
+	blobs   []*flatBlob
 }
 
 // emptySnapshot backs tables created as zero values before any publish.
@@ -128,17 +119,13 @@ func (t *Table) snapshot() *tableSnapshot {
 
 // publishLocked builds and atomically publishes a fresh snapshot of the
 // writer state; t.mu must be held. Mutations are rare (table generation,
-// file loads) and heavy, so copying the key maps here is noise next to
+// file loads) and heavy, so copying the degree set here is noise next to
 // the work that preceded it — and it is what lets every Query between
 // now and the next mutation run without a lock.
 func (t *Table) publishLocked() {
 	s := &tableSnapshot{
-		entries: make(map[string]entry, len(t.entries)),
 		degrees: make(map[int]bool, len(t.degrees)),
-		flats:   append([]*flatBlob(nil), t.flats...),
-	}
-	for k, v := range t.entries {
-		s.entries[k] = v
+		blobs:   slices.Clone(t.blobs),
 	}
 	for d, ok := range t.degrees {
 		if ok {
@@ -156,10 +143,9 @@ func (t *Table) publishLocked() {
 type DegreeStats struct {
 	Degree    int
 	NumIndex  int           // number of canonical (r, P) classes generated
-	TotalTopo int           // total stored topologies (after pruning)
+	TotalTopo int           // total stored topologies
 	GenTime   time.Duration // wall-clock generation time (summed over shards)
 	SampledOf int           // when only a sample of classes was generated: total classes
-	Pruned    int           // topologies removed by generation-time dominance pruning
 
 	ShardCount int    // shard layout this degree was generated under (0: unsharded)
 	ShardsSeen uint64 // bitmap of shards whose stats are merged in
@@ -178,7 +164,6 @@ func (s DegreeStats) AvgTopo() float64 {
 // New returns an empty table.
 func New() *Table {
 	return &Table{
-		entries: map[string]entry{},
 		degrees: map[int]bool{},
 		stats:   map[int]DegreeStats{},
 	}
@@ -206,8 +191,8 @@ func (t *Table) MaxCovered(limit int) int {
 }
 
 // LoadInfo reports the cumulative wall-clock time spent loading tables
-// from disk (gob decode or flat open) and the number of bytes currently
-// memory-mapped by flat backends. Cold-start reporting only; routing
+// from disk (open, map and index validation) and the number of bytes
+// currently memory-mapped. Cold-start reporting only; routing
 // results never depend on it.
 func (t *Table) LoadInfo() (loadTime time.Duration, mappedBytes int64) {
 	return time.Duration(t.loadNanos.Load()), t.mappedBytes.Load()
@@ -252,7 +237,7 @@ const MaxShards = 64
 // enumeration order correlates with pattern difficulty, so contiguous
 // ranges would give the last shard the hardest patterns. The degree is
 // marked covered only once all shards are merged into one table (the
-// shard bookkeeping travels in DegreeStats through both disk formats).
+// shard bookkeeping travels in the flat file's degree records).
 func (t *Table) GenerateShard(degree, workers, shard, shardCount int) error {
 	if shardCount < 1 || shardCount > MaxShards {
 		return fmt.Errorf("lut: shard count %d out of range [1,%d]", shardCount, MaxShards)
@@ -285,10 +270,9 @@ func (t *Table) generate(degree, workers, sample, shard, shardCount int) error {
 		pats = all
 	}
 	type result struct {
-		key    string
-		ent    entry
-		pruned int
-		err    error
+		key string
+		ent entry
+		err error
 	}
 	// Both channels are buffered to their maximum occupancy so the
 	// early-return on r.err below cannot strand a worker (blocked sending
@@ -305,16 +289,10 @@ func (t *Table) generate(degree, workers, sample, shard, shardCount int) error {
 			for p := range jobs {
 				topos, err := param.EnumeratePattern(p)
 				ent := entry{topos: topos}
-				pruned := 0
 				if err == nil {
 					ent.sols = param.Solutions(topos, p.N)
-					// Generation-time dominance pruning (Lemma-1 spirit):
-					// drop topologies made redundant by an earlier stored
-					// one. Queries on the pruned class stay byte-identical
-					// — see param.DominancePrune.
-					ent.topos, ent.sols, pruned = param.DominancePrune(ent.topos, ent.sols)
 				}
-				results <- result{key: p.Key(), ent: ent, pruned: pruned, err: err}
+				results <- result{key: p.Key(), ent: ent, err: err}
 			}
 		}()
 	}
@@ -327,39 +305,35 @@ func (t *Table) generate(degree, workers, sample, shard, shardCount int) error {
 		close(results)
 	}()
 	entries := make(map[string]entry, len(pats))
-	topoCount, prunedCount := 0, 0
+	topoCount := 0
 	for r := range results {
 		if r.err != nil {
 			return r.err
 		}
 		entries[r.key] = r.ent
 		topoCount += len(r.ent.topos)
-		prunedCount += r.pruned
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for k, v := range entries {
-		t.entries[k] = v
-	}
-	st := DegreeStats{
+	rec := degreeRecord{DegreeStats: DegreeStats{
 		Degree:    degree,
 		NumIndex:  len(pats),
 		TotalTopo: topoCount,
-		Pruned:    prunedCount,
 		GenTime:   time.Since(start), //patlint:ignore nondet GenTime is a reported statistic; table contents stay deterministic
-	}
+	}}
 	switch {
 	case shardCount > 1:
-		st.ShardCount = shardCount
-		st.ShardsSeen = 1 << shard
+		rec.ShardCount = shardCount
+		rec.ShardsSeen = 1 << shard
 	case sample > 0 && sample < total:
-		st.SampledOf = total
+		rec.SampledOf = total
 	default:
-		t.degrees[degree] = true
+		rec.covered = true
 	}
-	t.mergeStatsLocked(st)
-	t.publishLocked()
-	return nil
+	keys, ents := sortedEntries(entries)
+	data, err := encodeFlat(keys, ents, []degreeRecord{rec})
+	if err != nil {
+		return err
+	}
+	return t.LoadFlat(data)
 }
 
 // mergeStatsLocked folds one degree's incoming statistics into the table;
@@ -377,7 +351,6 @@ func (t *Table) mergeStatsLocked(in DegreeStats) {
 		}
 		cur.NumIndex += in.NumIndex
 		cur.TotalTopo += in.TotalTopo
-		cur.Pruned += in.Pruned
 		cur.GenTime += in.GenTime
 		cur.ShardsSeen |= in.ShardsSeen
 		if bits.OnesCount64(cur.ShardsSeen) == cur.ShardCount {
@@ -430,12 +403,16 @@ type evalItem struct {
 }
 
 // scratch holds the reusable per-query buffers: the canonical key, the
-// transformed gap-length vectors, and the symbolic evaluation rows.
-// Pooled so concurrent Query calls neither share nor reallocate them.
+// transformed gap-length vectors, the symbolic evaluation rows, and the
+// decoded node and parent arrays of the frontier winner being
+// instantiated. Pooled so concurrent Query calls neither share nor
+// reallocate them.
 type scratch struct {
-	key   []byte
-	h, v  []int64
-	evals []evalItem
+	key     []byte
+	h, v    []int64
+	evals   []evalItem
+	nodes   []param.RankNode
+	parents []int16
 }
 
 var scratchPool = sync.Pool{
@@ -486,62 +463,33 @@ func (t *Table) Query(net tree.Net) ([]pareto.Item[*tree.Tree], bool, error) {
 	defer putScratch(sc)
 	key, tf := hanan.AppendCanonicalKey(sc.key[:0], r.Pattern)
 	sc.key = key
-	// Lock-free lookup: the snapshot is immutable, so the entry map and
-	// the backend list can be read without synchronisation. A concurrent
-	// merge publishes a new snapshot; this query finishes on the old one.
-	snap := t.snapshot()
-	e, ok := snap.entries[string(key)]
-	if !ok {
-		// Builder-backend miss: search the read-only flat backends in
-		// attach order. The flat path evaluates coefficient rows directly
-		// against the mapping — no decode, no entry allocation.
-		for _, b := range snap.flats {
-			if i, found := b.find(key); found {
-				return t.queryFlat(b, i, r, tf, sc)
-			}
+	// Lock-free lookup: the snapshot is immutable, so its blob list can
+	// be read without synchronisation. A concurrent merge publishes a new
+	// snapshot; this query finishes on the old one.
+	for _, b := range t.snapshot().blobs {
+		if i, found := b.find(key); found {
+			return t.queryFlat(b, i, r, tf, sc)
 		}
-		t.misses.Add(1)
-		return nil, false, nil
 	}
-	// Gap lengths of the canonical instance: the stored coefficient rows
-	// are over the canonical pattern's gaps, so map the net's gaps through
-	// the canonicalizing transform.
-	hh, vv := tf.ApplyLengthsInto(r.H, r.V, sc.h, sc.v)
-	sc.h, sc.v = hh, vv
-	evals := sc.evals[:0]
-	for i := range e.sols {
-		evals = append(evals, evalItem{sol: e.sols[i].Eval(hh, vv), idx: int32(i)})
-	}
-	sc.evals = evals
-	t.evaluated.Add(int64(len(evals)))
-	winners := filterEvals(evals)
-	items := make([]pareto.Item[*tree.Tree], len(winners))
-	for i, w := range winners {
-		tr, err := e.topos[w.idx].Instantiate(r, tf)
-		if err != nil {
-			t.queryErrs.Add(1)
-			return nil, false, fmt.Errorf("lut: instantiating pattern key %q: %w", sc.key, err)
-		}
-		tr.Compact()
-		items[i] = pareto.Item[*tree.Tree]{Sol: w.sol, Val: tr}
-	}
-	t.materialized.Add(int64(len(items)))
-	t.hits.Add(1)
-	return items, true, nil
+	t.misses.Add(1)
+	return nil, false, nil
 }
 
-// queryFlat answers a Query from entry i of a flat backend. The symbolic
-// evaluation walks the mapped coefficient rows through aligned []int16
-// views — the arithmetic, filtering, tie-break, and counters are the same
-// as the builder path, so results are byte-identical across backends.
-// Corrupt payloads (possible only with a damaged file) return an error
-// and count as query errors, like instantiation failures do.
+// queryFlat answers a Query from entry i of blob b. The symbolic
+// evaluation walks the coefficient rows through aligned []int16 views of
+// the blob, and only the frontier winners' topologies are decoded, into
+// the pooled scratch. Corrupt payloads (possible only with a damaged
+// file) return an error and count as query errors, like instantiation
+// failures do.
 func (t *Table) queryFlat(b *flatBlob, i int, r hanan.Ranks, tf hanan.Transform, sc *scratch) ([]pareto.Item[*tree.Tree], bool, error) {
 	fe, err := b.entryAt(i)
 	if err != nil {
 		t.queryErrs.Add(1)
 		return nil, false, err
 	}
+	// Gap lengths of the canonical instance: the stored coefficient rows
+	// are over the canonical pattern's gaps, so map the net's gaps through
+	// the canonicalizing transform.
 	hh, vv := tf.ApplyLengthsInto(r.H, r.V, sc.h, sc.v)
 	sc.h, sc.v = hh, vv
 	evals := sc.evals[:0]
@@ -552,7 +500,7 @@ func (t *Table) queryFlat(b *flatBlob, i int, r hanan.Ranks, tf hanan.Transform,
 			t.queryErrs.Add(1)
 			return nil, false, fmt.Errorf("lut: flat entry key %q: row counts exceed declared total", fe.key)
 		}
-		// Mirror of param.Solution.Eval over the mapped rows: delay is the
+		// Mirror of param.Solution.Eval over the stored rows: delay is the
 		// max over the solution's delay rows, starting at zero.
 		var d int64
 		for rr := 0; rr < rows; rr++ {
@@ -571,11 +519,12 @@ func (t *Table) queryFlat(b *flatBlob, i int, r hanan.Ranks, tf hanan.Transform,
 	winners := filterEvals(evals)
 	items := make([]pareto.Item[*tree.Tree], len(winners))
 	for j, w := range winners {
-		topo, err := fe.decodeTopo(int(w.idx))
+		topo, err := fe.decodeTopo(int(w.idx), sc.nodes, sc.parents)
 		if err != nil {
 			t.queryErrs.Add(1)
 			return nil, false, err
 		}
+		sc.nodes, sc.parents = topo.Nodes, topo.Parent
 		tr, err := topo.Instantiate(r, tf)
 		if err != nil {
 			t.queryErrs.Add(1)
@@ -645,101 +594,10 @@ func (t *Table) EvalCounters() (evaluated, materialized int64) {
 	return t.evaluated.Load(), t.materialized.Load()
 }
 
-// diskFormatVersion tags the gob wire format. Version 2 added the
-// precompiled Sols per entry; version-0 files (written before the tag
-// existed) lack both the tag and the Sols and are recompiled on load.
-const diskFormatVersion = 2
-
-// diskEntry is the gob wire form of one pattern entry.
-type diskEntry struct {
-	Key   string
-	Topos []param.Topology
-	Sols  []param.Solution
-}
-
-// diskTable is the gob wire form of a whole table.
-type diskTable struct {
-	Version int
-	Entries []diskEntry
-	Degrees []int
-	Stats   []DegreeStats
-}
-
-// Save serialises the table in the legacy gob format, including the
-// precompiled solutions so Load skips recompilation. Entries come from
-// every backend (snapshotEntries), so converting a flat-backed table back
-// to gob keeps all content. New tables should prefer SaveFlat; Save stays
-// for interoperability with existing .lut files.
-func (t *Table) Save(w io.Writer) error {
-	keys, entries, err := t.snapshotEntries()
-	if err != nil {
-		return err
-	}
-	dt := diskTable{Version: diskFormatVersion}
-	for i, k := range keys {
-		dt.Entries = append(dt.Entries, diskEntry{Key: k, Topos: entries[i].topos, Sols: entries[i].sols})
-	}
-	t.mu.Lock()
-	for d := range t.degrees {
-		dt.Degrees = append(dt.Degrees, d)
-	}
-	sort.Ints(dt.Degrees)
-	for _, s := range t.stats {
-		dt.Stats = append(dt.Stats, s)
-	}
-	t.mu.Unlock()
-	slices.SortFunc(dt.Stats, func(a, b DegreeStats) int { return a.Degree - b.Degree })
-	return gob.NewEncoder(w).Encode(dt)
-}
-
-// Load reads a serialised table and merges it into t. Files written by
-// older versions (no format tag, no precompiled solutions) load too: their
-// coefficient solutions are recompiled from the stored topologies.
-func (t *Table) Load(r io.Reader) error {
-	var dt diskTable
-	if err := gob.NewDecoder(r).Decode(&dt); err != nil {
-		return fmt.Errorf("lut: decoding table: %w", err)
-	}
-	if dt.Version > diskFormatVersion {
-		return fmt.Errorf("lut: table format version %d is newer than supported %d", dt.Version, diskFormatVersion)
-	}
-	for i := range dt.Entries {
-		e := &dt.Entries[i]
-		if len(e.Key) < 2 {
-			return fmt.Errorf("lut: malformed entry key %q", e.Key)
-		}
-		if len(e.Sols) != len(e.Topos) {
-			e.Sols = param.Solutions(e.Topos, int(e.Key[0]))
-		}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, e := range dt.Entries {
-		t.entries[e.Key] = entry{topos: e.Topos, sols: e.Sols}
-	}
-	for _, s := range dt.Stats {
-		t.mergeStatsLocked(s)
-	}
-	for _, d := range dt.Degrees {
-		t.degrees[d] = true
-	}
-	t.publishLocked()
-	return nil
-}
-
-// SaveFile writes the gob-format table to path atomically: the bytes go
-// to a temporary file in the target directory which is renamed into place
-// only after a successful write, so an interrupted run never leaves a
-// truncated table behind.
-func (t *Table) SaveFile(path string) error {
-	return atomicWrite(path, t.Save)
-}
-
-// LoadFile merges the table stored at path into t, sniffing the format
-// from the leading bytes: flat tables (the "PLUT" magic) attach as a
-// zero-copy read-only backend — memory-mapped where the platform supports
-// it — while anything else decodes as the legacy gob format into the
-// in-memory backend. Wall-clock cost is accumulated into LoadInfo.
+// LoadFile attaches the flat table stored at path to t, memory-mapped
+// where the platform supports it. Any other content — a file in another
+// format, a truncated or corrupt table — returns an error and leaves t
+// unchanged. Wall-clock cost is accumulated into LoadInfo.
 func (t *Table) LoadFile(path string) error {
 	start := time.Now() //patlint:ignore nondet cold-start timing is a reported statistic; table contents stay deterministic
 	defer func() {
@@ -750,31 +608,6 @@ func (t *Table) LoadFile(path string) error {
 		return err
 	}
 	defer f.Close()
-	var magic [4]byte
-	if n, _ := io.ReadFull(f, magic[:]); n == 4 && magic == flatMagic {
-		return t.loadFlatFile(f, path)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	return t.Load(f)
-}
-
-// LoadFlat parses data as a flat-format table and attaches it to t as a
-// read-only backend. The table retains (and reads through) data, which
-// must not be modified afterwards. Corrupt input returns an error and
-// leaves t unchanged.
-func (t *Table) LoadFlat(data []byte) error {
-	b, err := openFlatBlob(data)
-	if err != nil {
-		return err
-	}
-	t.attachFlat(b)
-	return nil
-}
-
-// loadFlatFile maps (or reads) an opened flat file and attaches it.
-func (t *Table) loadFlatFile(f *os.File, path string) error {
 	fi, err := f.Stat()
 	if err != nil {
 		return err
@@ -792,50 +625,81 @@ func (t *Table) loadFlatFile(f *os.File, path string) error {
 	}
 	// openFlatBlob realigns by copying only when the buffer is misaligned;
 	// mappings are page-aligned, so b.data aliasing data here means the
-	// mapping itself is the backend and must be tracked for Close.
+	// mapping itself is the blob and must be tracked for Close.
 	if mapped && &b.data[0] == &data[0] {
 		b.mapped = true
 		t.mappedBytes.Add(int64(len(data)))
 	} else if mapped {
 		unmapFile(data)
 	}
-	t.attachFlat(b)
+	t.attach(b)
 	return nil
 }
 
-// attachFlat publishes an opened blob as a query backend and merges its
+// readFile reads the whole file into an ordinary buffer: the portable
+// fallback of mapFile. The returned bool (mapped) is always false.
+func readFile(f *os.File, size int64) ([]byte, bool, error) {
+	if size < 0 || size > int64(int(^uint(0)>>1)) {
+		return nil, false, io.ErrUnexpectedEOF
+	}
+	data := make([]byte, size)
+	if _, err := f.ReadAt(data, 0); err != nil && err != io.EOF {
+		return nil, false, err
+	}
+	return data, false, nil
+}
+
+// LoadFlat parses data as a flat-format table and attaches it to t as a
+// read-only blob. The table retains (and reads through) data, which
+// must not be modified afterwards. Corrupt input returns an error and
+// leaves t unchanged.
+func (t *Table) LoadFlat(data []byte) error {
+	b, err := openFlatBlob(data)
+	if err != nil {
+		return err
+	}
+	t.attach(b)
+	return nil
+}
+
+// attach publishes an opened blob behind the existing ones and merges its
 // degree coverage and statistics.
-func (t *Table) attachFlat(b *flatBlob) {
-	stats, covered := parseFlatDegrees(b.deg)
+func (t *Table) attach(b *flatBlob) {
+	recs := parseFlatDegrees(b.deg)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.flats = append(t.flats, b)
-	for i := range stats {
-		t.mergeStatsLocked(stats[i])
-		if covered[i] {
-			t.degrees[stats[i].Degree] = true
+	t.blobs = append(t.blobs, b)
+	for _, rec := range recs {
+		t.mergeStatsLocked(rec.DegreeStats)
+		if rec.covered {
+			t.degrees[rec.Degree] = true
 		}
 	}
 	t.publishLocked()
 }
 
-// Close detaches and unmaps every flat backend. The table must not be
-// queried concurrently with or after Close; in-memory content generated
-// or gob-loaded into t survives.
+// Close detaches and unmaps every memory-mapped blob. Blobs held in
+// ordinary memory — generated degrees, LoadFlat buffers, files read
+// without a mapping — stay attached and keep answering. Close must not
+// run concurrently with queries.
 func (t *Table) Close() error {
 	t.mu.Lock()
-	flats := t.flats
-	t.flats = nil
+	var mapped, kept []*flatBlob
+	for _, b := range t.blobs {
+		if b.mapped {
+			mapped = append(mapped, b)
+		} else {
+			kept = append(kept, b)
+		}
+	}
+	t.blobs = kept
 	// Publish the detached view before unmapping: a later (contract
 	// violating) query then at worst misses instead of touching unmapped
 	// memory through a stale snapshot.
 	t.publishLocked()
 	t.mu.Unlock()
 	var first error
-	for _, b := range flats {
-		if !b.mapped {
-			continue
-		}
+	for _, b := range mapped {
 		t.mappedBytes.Add(-int64(len(b.data)))
 		if err := unmapFile(b.data); err != nil && first == nil {
 			first = err

@@ -1,8 +1,9 @@
 package lut
 
 import (
-	"bytes"
+	"context"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"patlabor/internal/dw"
@@ -40,7 +41,7 @@ func TestGenerateAndQueryMatchesDW(t *testing.T) {
 		if !ok {
 			t.Fatalf("trial %d: query missed covered degree %d", trial, n)
 		}
-		want, err := dw.FrontierSols(net, dw.DefaultOptions())
+		want, err := dw.FrontierSolsContext(context.Background(), net, dw.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,14 +90,15 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := tab.Generate(4, 2); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := tab.Save(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "t.plut")
+	if err := tab.SaveFlatFile(path); err != nil {
 		t.Fatal(err)
 	}
 	loaded := New()
-	if err := loaded.Load(&buf); err != nil {
+	if err := loaded.LoadFile(path); err != nil {
 		t.Fatal(err)
 	}
+	defer loaded.Close()
 	if !loaded.Covers(4) {
 		t.Fatal("loaded table does not cover degree 4")
 	}
@@ -201,7 +203,7 @@ func TestDegree6MatchesDW(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("trial %d: ok=%v err=%v", trial, ok, err)
 		}
-		want, err := dw.FrontierSols(net, dw.DefaultOptions())
+		want, err := dw.FrontierSolsContext(context.Background(), net, dw.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

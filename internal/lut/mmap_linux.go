@@ -3,7 +3,6 @@
 package lut
 
 import (
-	"io"
 	"os"
 	"syscall"
 )
@@ -28,18 +27,4 @@ func mapFile(f *os.File, size int64) ([]byte, bool, error) {
 // unmapFile releases a mapping returned by mapFile.
 func unmapFile(data []byte) error {
 	return syscall.Munmap(data)
-}
-
-// readFile is the portable fallback: read the remaining file contents
-// into an ordinary buffer. The file position may be anywhere (LoadFile
-// has already sniffed the magic), so read from offset 0 explicitly.
-func readFile(f *os.File, size int64) ([]byte, bool, error) {
-	if size < 0 || size > int64(int(^uint(0)>>1)) {
-		return nil, false, io.ErrUnexpectedEOF
-	}
-	data := make([]byte, size)
-	if _, err := f.ReadAt(data, 0); err != nil && err != io.EOF {
-		return nil, false, err
-	}
-	return data, false, nil
 }

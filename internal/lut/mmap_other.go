@@ -2,23 +2,13 @@
 
 package lut
 
-import (
-	"io"
-	"os"
-)
+import "os"
 
 // mapFile on platforms without the mmap backend reads the file into an
 // ordinary buffer. Queries work identically; only the page-cache sharing
 // and lazy-fault cold start of the Linux mapping are lost.
 func mapFile(f *os.File, size int64) ([]byte, bool, error) {
-	if size < 0 || size > int64(int(^uint(0)>>1)) {
-		return nil, false, io.ErrUnexpectedEOF
-	}
-	data := make([]byte, size)
-	if _, err := f.ReadAt(data, 0); err != nil && err != io.EOF {
-		return nil, false, err
-	}
-	return data, false, nil
+	return readFile(f, size)
 }
 
 // unmapFile is a no-op without a mapping backend.

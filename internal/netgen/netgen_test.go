@@ -1,6 +1,7 @@
 package netgen
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -62,7 +63,7 @@ func TestSGadgetExponentialFrontier(t *testing.T) {
 		if net.Degree() != 4*m+1 {
 			t.Fatalf("m=%d: degree %d, want %d", m, net.Degree(), 4*m+1)
 		}
-		sols, err := dw.FrontierSols(net, dw.DefaultOptions())
+		sols, err := dw.FrontierSolsContext(context.Background(), net, dw.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +78,7 @@ func TestSGadgetM3(t *testing.T) {
 		t.Skip("short mode")
 	}
 	net := SGadget(3)
-	sols, err := dw.FrontierSols(net, dw.DefaultOptions())
+	sols, err := dw.FrontierSolsContext(context.Background(), net, dw.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package param
 
 import (
+	"context"
 	"patlabor/internal/dw"
 	"patlabor/internal/pareto"
 	"patlabor/internal/tree"
@@ -9,5 +10,5 @@ import (
 // dwSols exposes the concrete Pareto-DW frontier as the reference result
 // for validating symbolic enumeration.
 func dwSols(net tree.Net) ([]pareto.Sol, error) {
-	return dw.FrontierSols(net, dw.DefaultOptions())
+	return dw.FrontierSolsContext(context.Background(), net, dw.DefaultOptions())
 }

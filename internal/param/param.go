@@ -117,37 +117,3 @@ func (s Solution) Prunes(t Solution) bool {
 func (s Solution) String() string {
 	return fmt.Sprintf("W=%v D=%v", s.W, s.D)
 }
-
-// FilterSolutions removes solutions pruned by another (ties keep the
-// earlier element). Quadratic in the set size, which stays small for
-// table-degree patterns.
-func FilterSolutions(sols []Solution) []Solution {
-	keep := make([]bool, len(sols))
-	for i := range keep {
-		keep[i] = true
-	}
-	for i := range sols {
-		if !keep[i] {
-			continue
-		}
-		for j := range sols {
-			if i == j || !keep[j] {
-				continue
-			}
-			if sols[i].Prunes(sols[j]) {
-				// Break mutual pruning (equivalent solutions) by index.
-				if sols[j].Prunes(sols[i]) && j < i {
-					continue
-				}
-				keep[j] = false
-			}
-		}
-	}
-	out := sols[:0:0]
-	for i, k := range keep {
-		if k {
-			out = append(out, sols[i])
-		}
-	}
-	return out
-}

@@ -92,18 +92,31 @@ func TestPrunesImpliesDominanceEverywhere(t *testing.T) {
 	}
 }
 
-func TestFilterSolutions(t *testing.T) {
-	s1 := Solution{W: Vec{1, 0}, D: []Vec{{1, 0}}}
-	s2 := Solution{W: Vec{1, 1}, D: []Vec{{1, 1}}}
-	s3 := Solution{W: Vec{0, 2}, D: []Vec{{0, 2}}}
-	out := FilterSolutions([]Solution{s2, s1, s3})
-	if len(out) != 2 {
-		t.Fatalf("FilterSolutions kept %d, want 2", len(out))
+// TestEnumeratedClassesIrredundant pins the invariant that keeps lookup
+// table generation free of a separate dominance-pruning pass: in every
+// canonical pattern's enumerated class, no solution is Prunes-dominated
+// by an earlier one, so the symbolic DP's in-flight Lemma-1 filter has
+// already removed every redundant topology.
+func TestEnumeratedClassesIrredundant(t *testing.T) {
+	maxDegree := 6
+	if testing.Short() {
+		maxDegree = 5
 	}
-	// Equal solutions: exactly one kept.
-	out2 := FilterSolutions([]Solution{s1, Solution{W: Vec{1, 0}, D: []Vec{{1, 0}}}})
-	if len(out2) != 1 {
-		t.Fatalf("equal solutions kept %d, want 1", len(out2))
+	for n := 2; n <= maxDegree; n++ {
+		for _, p := range hanan.CanonicalPatterns(n) {
+			topos, err := EnumeratePattern(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sols := Solutions(topos, n)
+			for j := range sols {
+				for i := 0; i < j; i++ {
+					if sols[i].Prunes(sols[j]) {
+						t.Fatalf("degree %d pattern %v: solution %d is pruned by earlier solution %d", n, p, j, i)
+					}
+				}
+			}
+		}
 	}
 }
 

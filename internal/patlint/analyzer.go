@@ -11,11 +11,10 @@ import (
 // with access to the module-wide fact tables (call-graph summaries and
 // annotation seeds) that earlier packages in dependency order have
 // already contributed to. Diagnostics carry the analyzer's name as their
-// rule, so ignore directives, baselines and -rules selection all key on
-// Name.
+// rule, so ignore directives and -rules selection both key on Name.
 type Analyzer struct {
 	// Name is the rule name as it appears in diagnostics, ignore
-	// directives, the -rules flag and baseline entries.
+	// directives and the -rules flag.
 	Name string
 	// Doc is the one-line rule description shown by the driver.
 	Doc string

@@ -12,10 +12,10 @@ import (
 //
 //   - ctxbg: a function that accepts a context.Context must not call
 //     context.Background() or context.TODO(). Manufacturing a fresh root
-//     context severs the caller's deadline and cancellation; only the
-//     documented ctx-less compat shims (Frontier wrapping FrontierContext,
-//     etc.) may do that, and they have no ctx parameter so the rule does
-//     not see them.
+//     context severs the caller's deadline and cancellation; only
+//     ctx-less entry points (the public patlabor wrappers, rsmt.Tree) may
+//     do that, and they have no ctx parameter so the rule does not see
+//     them.
 //   - ctxloop: a loop doing iteration-scale work — a nested loop, or a
 //     call into a context-aware callee — must reach a cancellation check:
 //     the loop body, or an enclosing loop's body, must use the ctx

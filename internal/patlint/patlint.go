@@ -17,7 +17,8 @@
 //     swapper accounted for 39% of allocated objects in internal/dw).
 //   - ctxbg: in routing packages, a function that accepts a
 //     context.Context must not manufacture context.Background()/TODO();
-//     only the documented ctx-less compat shims may do that.
+//     only ctx-less entry points (the public patlabor wrappers, rsmt.Tree)
+//     may do that.
 //   - ctxloop: in routing packages, a loop doing iteration-scale work
 //     (nested loops, or calls into context-aware callees) inside a
 //     context-aware function must reach a cancellation check.
@@ -82,11 +83,41 @@ type Diagnostic struct {
 // Format renders the diagnostic in the canonical patlint format with the
 // file path relative to root: "pkg/file.go:line: patlint(rule): message".
 func (d Diagnostic) Format(root string) string {
-	file := d.Pos.Filename
-	if rel, ok := strings.CutPrefix(file, root+"/"); ok {
-		file = rel
+	return fmt.Sprintf("%s:%d: patlint(%s): %s", relTo(root, d.Pos.Filename), d.Pos.Line, d.Rule, d.Msg)
+}
+
+// JSONDiagnostic is the machine-readable form of one finding, with the
+// file path relative to the module root so output is stable across
+// checkouts.
+type JSONDiagnostic struct {
+	File string `json:"file"`
+	Line int    `json:"line"`
+	Rule string `json:"rule"`
+	Msg  string `json:"msg"`
+}
+
+// ToJSON converts sorted diagnostics to their machine-readable form, in
+// the same canonical (file, line, column, rule) order.
+func ToJSON(root string, diags []Diagnostic) []JSONDiagnostic {
+	out := make([]JSONDiagnostic, 0, len(diags))
+	for _, d := range diags {
+		out = append(out, JSONDiagnostic{
+			File: relTo(root, d.Pos.Filename),
+			Line: d.Pos.Line,
+			Rule: d.Rule,
+			Msg:  d.Msg,
+		})
 	}
-	return fmt.Sprintf("%s:%d: patlint(%s): %s", file, d.Pos.Line, d.Rule, d.Msg)
+	return out
+}
+
+// relTo makes an absolute file path root-relative (the identity for
+// paths outside root).
+func relTo(root, file string) string {
+	if rel, ok := strings.CutPrefix(file, root+"/"); ok {
+		return rel
+	}
+	return file
 }
 
 // class is the set of rule families that apply to a package.

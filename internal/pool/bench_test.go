@@ -13,7 +13,7 @@ import (
 // per-index channel operations used to dominate; chunked dispatch
 // amortizes one channel round trip over a run of indices. The work=spin
 // rows model mid-sized nets and bound the load-balancing cost of
-// chunking. scripts/bench.sh pr9 records the suite in BENCH_PR9.json.
+// chunking. BENCH_PR9.json froze the suite.
 func BenchmarkEach(b *testing.B) {
 	spin := func(iters int) int64 {
 		var s int64

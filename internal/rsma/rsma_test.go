@@ -27,7 +27,7 @@ func TestTreeIsShortestPath(t *testing.T) {
 		if err := a.Validate(net); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		delays := a.SinkDelays()
+		delays := tree.NewEvaluator().SinkDelaysInto(a, n)
 		for pin := 1; pin < n; pin++ {
 			want := geom.Dist(net.Source(), net.Pins[pin])
 			if delays[pin] != want {

@@ -14,6 +14,7 @@
 package rsmt
 
 import (
+	"context"
 	"patlabor/internal/dw"
 	"patlabor/internal/geom"
 	"patlabor/internal/hanan"
@@ -36,7 +37,7 @@ func Tree(net tree.Net) *tree.Tree {
 	case n == 2:
 		return tree.Star(net)
 	case n <= ExactDegree:
-		items, err := dw.Frontier(net, dw.DefaultOptions())
+		items, err := dw.FrontierContext(context.Background(), net, dw.DefaultOptions())
 		if err == nil && len(items) > 0 {
 			return items[0].Val
 		}

@@ -1,6 +1,7 @@
 package rsmt
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -57,7 +58,7 @@ func TestTreeExactSmallDegrees(t *testing.T) {
 		if err := got.Validate(net); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		sols, err := dw.FrontierSols(net, dw.DefaultOptions())
+		sols, err := dw.FrontierSolsContext(context.Background(), net, dw.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,7 +30,7 @@ func TestBuildRespectsShallownessBound(t *testing.T) {
 			if err := tr.Validate(net); err != nil {
 				t.Fatalf("trial %d eps %v: %v", trial, eps, err)
 			}
-			delays := tr.SinkDelays()
+			delays := tree.NewEvaluator().SinkDelaysInto(tr, n)
 			for pin := 1; pin < n; pin++ {
 				bound := (1 + eps) * float64(geom.Dist(net.Source(), net.Pins[pin]))
 				if float64(delays[pin]) > bound+1e-9 {

@@ -79,7 +79,7 @@ func TestRemovePin(t *testing.T) {
 			t.Fatal("pin 1 still present")
 		}
 	}
-	d := tr.SinkDelays()
+	d := NewEvaluator().SinkDelaysInto(tr, 3)
 	if d[2] != 20 {
 		t.Fatalf("pin 2 delay = %d", d[2])
 	}

@@ -8,10 +8,10 @@ import (
 )
 
 // Evaluator is reusable evaluation scratch for routing trees. The
-// allocating helpers on Tree (Children, PathLengths, SinkDelays, Sol)
-// build fresh slices and maps on every call, which dominates the
-// allocation profile of the large-net local search — every iteration
-// evaluates dozens of candidate trees. An Evaluator holds the child
+// allocating helpers on Tree (Children, PathLengths, Sol) build fresh
+// slices on every call, which dominates the allocation profile of the
+// large-net local search — every iteration evaluates dozens of candidate
+// trees. An Evaluator holds the child
 // adjacency in CSR form (one offset slice, one child slice) plus the
 // traversal order and per-node length buffers, all grown once and reused
 // across calls, so steady-state evaluation is allocation free.
@@ -150,8 +150,7 @@ func (e *Evaluator) pathLengths(t *Tree) []int64 {
 
 // SinkDelaysInto computes the per-pin path lengths of t indexed by pin
 // (0..degree-1): the maximum path length over the nodes realising each
-// pin, 0 for pins not present. It replaces the map-returning
-// Tree.SinkDelays on hot paths; the returned slice aliases the
+// pin, 0 for pins not present. The returned slice aliases the
 // evaluator's scratch and is valid until its next call.
 func (e *Evaluator) SinkDelaysInto(t *Tree, degree int) []int64 {
 	e.Load(t)

@@ -85,15 +85,19 @@ func TestEvaluatorDifferential(t *testing.T) {
 			}
 		}
 
+		// Reference: the max path length over each pin's nodes (absent
+		// pins read 0).
 		sd := ev.SinkDelaysInto(tr, net.Degree())
-		byPin := tr.SinkDelays()
-		for pin := 0; pin < net.Degree(); pin++ {
-			want, ok := byPin[pin]
-			if !ok {
-				want = 0
+		ref := tr.PathLengths()
+		byPin := make([]int64, net.Degree())
+		for i, nd := range tr.Nodes {
+			if nd.Pin >= 0 && ref[i] > byPin[nd.Pin] {
+				byPin[nd.Pin] = ref[i]
 			}
-			if sd[pin] != want {
-				t.Fatalf("trial %d: delay of pin %d = %d, want %d", trial, pin, sd[pin], want)
+		}
+		for pin := range byPin {
+			if sd[pin] != byPin[pin] {
+				t.Fatalf("trial %d: delay of pin %d = %d, want %d", trial, pin, sd[pin], byPin[pin])
 			}
 		}
 
@@ -105,7 +109,7 @@ func TestEvaluatorDifferential(t *testing.T) {
 
 // TestEvaluatorDuplicatePins pins down SinkDelaysInto's max-over-
 // duplicates semantics: when several nodes realise one pin, the reported
-// delay is the largest (matching the deprecated map's fold).
+// delay is the largest.
 func TestEvaluatorDuplicatePins(t *testing.T) {
 	tr := New(geom.Pt(0, 0), 0)
 	a := tr.Add(geom.Pt(10, 0), 1, tr.Root)

@@ -139,25 +139,6 @@ func (t *Tree) Sol() pareto.Sol {
 	return pareto.Sol{W: t.Wirelength(), D: t.MaxDelay()}
 }
 
-// SinkDelays returns path lengths keyed by pin index, for pins present in
-// the tree (including the source at delay of its tree position).
-//
-// Deprecated: the map allocation makes this unsuitable for hot paths; use
-// Evaluator.SinkDelaysInto, which returns a reusable pin-indexed slice
-// with the same max-over-duplicates semantics (absent pins read 0).
-func (t *Tree) SinkDelays() map[int]int64 {
-	d := t.PathLengths()
-	out := make(map[int]int64)
-	for i, nd := range t.Nodes {
-		if nd.Pin >= 0 {
-			if cur, ok := out[nd.Pin]; !ok || d[i] > cur {
-				out[nd.Pin] = d[i]
-			}
-		}
-	}
-	return out
-}
-
 // TopoOrder returns node indices reachable from the root in root-first
 // order (every node appears after its parent). Nodes not reachable from
 // the root — only possible in invalid trees — are omitted; Validate

@@ -2,6 +2,7 @@ package tree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"patlabor/internal/geom"
@@ -41,9 +42,9 @@ func TestPathTreeDelays(t *testing.T) {
 	if got := tr.MaxDelay(); got != 30 {
 		t.Errorf("MaxDelay = %d, want 30", got)
 	}
-	d := tr.SinkDelays()
+	d := NewEvaluator().SinkDelaysInto(tr, 4)
 	if d[1] != 10 || d[3] != 20 || d[2] != 30 {
-		t.Errorf("SinkDelays = %v", d)
+		t.Errorf("SinkDelaysInto = %v", d)
 	}
 }
 
@@ -159,7 +160,8 @@ func TestSteinerizePreservesDelaysProperty(t *testing.T) {
 			continue
 		}
 		tr := Star(net)
-		before := tr.SinkDelays()
+		ev := NewEvaluator()
+		before := slices.Clone(ev.SinkDelaysInto(tr, net.Degree()))
 		w0 := tr.Wirelength()
 		tr.Steinerize()
 		if err := tr.Validate(net); err != nil {
@@ -168,7 +170,7 @@ func TestSteinerizePreservesDelaysProperty(t *testing.T) {
 		if tr.Wirelength() > w0 {
 			t.Fatalf("trial %d: Steinerize increased wirelength %d -> %d", trial, w0, tr.Wirelength())
 		}
-		after := tr.SinkDelays()
+		after := ev.SinkDelaysInto(tr, net.Degree())
 		for pin, d := range before {
 			if after[pin] != d {
 				t.Fatalf("trial %d: delay of pin %d changed %d -> %d", trial, pin, d, after[pin])

@@ -61,14 +61,9 @@ func ConvexHull[T any](items []pareto.Item[T]) []pareto.Item[T] {
 	return hull
 }
 
-// SmallSweep returns every solution the oracle YSD can produce for a
-// small-degree net across all β: the convex hull of the exact frontier.
-func SmallSweep(net tree.Net) ([]pareto.Item[*tree.Tree], error) {
-	return SmallSweepContext(context.Background(), net)
-}
-
-// SmallSweepContext is SmallSweep with cancellation threaded into the
-// exact DP.
+// SmallSweepContext returns every solution the oracle YSD can produce for
+// a small-degree net across all β: the convex hull of the exact frontier.
+// The context is threaded into the exact DP.
 func SmallSweepContext(ctx context.Context, net tree.Net) ([]pareto.Item[*tree.Tree], error) {
 	if net.Degree() > SmallDegree {
 		return nil, fmt.Errorf("ysd: degree %d exceeds SmallDegree", net.Degree())
@@ -161,15 +156,10 @@ func DefaultBetas() []float64 {
 	return []float64{0, 0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1, 1.5, 2.5, 4, 8, 16, 1e6}
 }
 
-// Sweep runs YSD across the β grid and returns the Pareto set of produced
-// trees. For small nets the exact hull is returned directly (a dense β
-// sweep converges to it).
-func Sweep(net tree.Net, betas []float64) ([]pareto.Item[*tree.Tree], error) {
-	return SweepContext(context.Background(), net, betas)
-}
-
-// SweepContext is Sweep with cancellation: the context is checked per β
-// and threaded into the recursion and its exact-DP leaves.
+// SweepContext runs YSD across the β grid and returns the Pareto set of
+// produced trees. For small nets the exact hull is returned directly (a
+// dense β sweep converges to it). The context is checked per β and
+// threaded into the recursion and its exact-DP leaves.
 func SweepContext(ctx context.Context, net tree.Net, betas []float64) ([]pareto.Item[*tree.Tree], error) {
 	if net.Degree() <= SmallDegree {
 		return SmallSweepContext(ctx, net)

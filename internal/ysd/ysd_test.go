@@ -1,6 +1,7 @@
 package ysd
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -113,11 +114,11 @@ func TestSmallSweepSubsetOfFrontier(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		n := 4 + rng.Intn(4) // 4..7
 		net := randNet(rng, n, 80)
-		items, err := SmallSweep(net)
+		items, err := SmallSweepContext(context.Background(), net)
 		if err != nil {
 			t.Fatal(err)
 		}
-		truth, err := dw.FrontierSols(net, dw.DefaultOptions())
+		truth, err := dw.FrontierSolsContext(context.Background(), net, dw.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +166,7 @@ func TestBuildLargeNet(t *testing.T) {
 func TestSweepLargeIsFrontier(t *testing.T) {
 	rng := rand.New(rand.NewSource(84))
 	net := randNet(rng, 30, 300)
-	items, err := Sweep(net, nil)
+	items, err := SweepContext(context.Background(), net, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestSweepLargeIsFrontier(t *testing.T) {
 
 func TestSmallSweepRejectsLargeNet(t *testing.T) {
 	rng := rand.New(rand.NewSource(85))
-	if _, err := SmallSweep(randNet(rng, SmallDegree+1, 100)); err == nil {
+	if _, err := SmallSweepContext(context.Background(), randNet(rng, SmallDegree+1, 100)); err == nil {
 		t.Fatal("oversized SmallSweep accepted")
 	}
 }

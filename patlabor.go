@@ -75,13 +75,11 @@ type Options struct {
 	// Iterations overrides the local-search iteration count (default
 	// ⌊n/λ⌋ as in the paper).
 	Iterations int
-	// TablePath optionally points at a lookup-table file produced by
-	// cmd/lutgen; its degrees are merged over the built-in eager tables.
-	// Both formats load: the flat zero-copy format ("PLUT" magic) attaches
-	// as a memory-mapped read-only backend — queries start in milliseconds
-	// and every process mapping the same file shares one page-cache copy —
-	// while legacy gob files decode in memory (read-only support; new
-	// tables should use the flat format, see `lutgen -convert`).
+	// TablePath optionally points at a flat lookup-table file (.plut)
+	// produced by cmd/lutgen; its degrees are merged over the built-in
+	// eager tables. The file is memory-mapped read-only: queries start in
+	// milliseconds and every process mapping the same file shares one
+	// page-cache copy. Any other file content is an error.
 	TablePath string
 	// PolicyParams overrides the trained pin-selection policy weights.
 	PolicyParams *PolicyParams
@@ -191,7 +189,7 @@ func prepareOptions(opts Options) (core.Options, error) {
 // ExactFrontier computes the provably exact Pareto frontier with the
 // Pareto-DW dynamic program. The degree must be at most MaxExactDegree.
 func ExactFrontier(net Net) ([]Candidate, error) {
-	return dw.Frontier(net, dw.DefaultOptions())
+	return dw.FrontierContext(context.Background(), net, dw.DefaultOptions())
 }
 
 // MaxExactDegree is the largest degree ExactFrontier accepts.
@@ -214,7 +212,7 @@ func SALTSweep(net Net, epsilons []float64) []Candidate {
 // YSDSweep runs the YSD weighted-sum baseline across a β grid (nil for
 // defaults).
 func YSDSweep(net Net, betas []float64) ([]Candidate, error) {
-	return ysd.Sweep(net, betas)
+	return ysd.SweepContext(context.Background(), net, betas)
 }
 
 // PDSweep runs the Prim–Dijkstra baseline across an α grid (nil for
@@ -225,7 +223,7 @@ func PDSweep(net Net, alphas []float64) []Candidate {
 
 // KSFrontier runs the Pareto-KS divide-and-conquer approximation (§IV-B).
 func KSFrontier(net Net) ([]Candidate, error) {
-	return ks.Frontier(net, ks.Options{})
+	return ks.FrontierContext(context.Background(), net, ks.Options{})
 }
 
 // RouteAll routes many nets concurrently on a worker pool (workers <= 0

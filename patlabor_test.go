@@ -95,7 +95,7 @@ func TestNetFileRoundTripPublicAPI(t *testing.T) {
 func TestRouteWithTablePath(t *testing.T) {
 	// A missing table file must error cleanly.
 	net := NewNet(Pt(0, 0), Pt(1, 1))
-	if _, err := Route(net, Options{TablePath: filepath.Join(t.TempDir(), "nope.gob")}); err == nil {
+	if _, err := Route(net, Options{TablePath: filepath.Join(t.TempDir(), "nope.plut")}); err == nil {
 		t.Fatal("missing table accepted")
 	}
 }
@@ -222,15 +222,8 @@ func TestTablePathLoadedOnce(t *testing.T) {
 	if err := table.Generate(4, 0); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "deg4.gob")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := table.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	path := filepath.Join(t.TempDir(), "deg4.plut")
+	if err := table.SaveFlatFile(path); err != nil {
 		t.Fatal(err)
 	}
 

@@ -106,42 +106,6 @@ func TestPatlintCLIFindingsAndJSON(t *testing.T) {
 	}
 }
 
-func TestPatlintCLIBaselineRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("CLI integration test (builds binaries)")
-	}
-	base := filepath.Join(t.TempDir(), "baseline.json")
-
-	// -write-baseline requires -baseline.
-	_, stderr, code := runPatlint(t, "-write-baseline", badCorpus)
-	if code != 2 || !strings.Contains(stderr, "-write-baseline requires -baseline") {
-		t.Fatalf("bare -write-baseline: exit=%d stderr=%s", code, stderr)
-	}
-
-	// Record the corpus findings, then verify the baseline forgives them.
-	_, stderr, code = runPatlint(t, "-baseline", base, "-write-baseline", badCorpus)
-	if code != 0 {
-		t.Fatalf("-write-baseline exit = %d: %s", code, stderr)
-	}
-	if _, err := os.Stat(base); err != nil {
-		t.Fatal(err)
-	}
-	stdout, stderr, code := runPatlint(t, "-baseline", base, badCorpus)
-	if code != 0 {
-		t.Fatalf("baselined run exit = %d, want 0\nstdout: %s\nstderr: %s", code, stdout, stderr)
-	}
-
-	// The same baseline against a clean package: every entry is stale and
-	// reported on stderr, but stale entries alone do not fail the run.
-	stdout, stderr, code = runPatlint(t, "-baseline", base, "internal/geom")
-	if code != 0 {
-		t.Fatalf("stale-baseline run exit = %d, want 0\n%s", code, stdout)
-	}
-	if !strings.Contains(stderr, "stale baseline entry") {
-		t.Errorf("stderr missing stale-entry report: %s", stderr)
-	}
-}
-
 func TestPatlintCLIRuleSelection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI integration test (builds binaries)")
