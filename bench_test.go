@@ -324,17 +324,26 @@ func benchNet(n int, seed int64) tree.Net {
 	return netgen.Clustered(rng, n, 100000, 4000)
 }
 
-func BenchmarkExactFrontierDegree5(b *testing.B) { benchExact(b, 5) }
-func BenchmarkExactFrontierDegree7(b *testing.B) { benchExact(b, 7) }
-func BenchmarkExactFrontierDegree9(b *testing.B) { benchExact(b, 9) }
-
-func benchExact(b *testing.B, n int) {
-	net := benchNet(n, int64(n))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dw.FrontierSolsContext(context.Background(), net, dw.DefaultOptions()); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkExactFrontier measures the concrete Pareto-DW per degree,
+// cycling through 16 clustered nets so that no single net's grid and
+// frontier shape dominates the mean. EXPERIMENTS.md's per-degree DP
+// table comes from it.
+func BenchmarkExactFrontier(b *testing.B) {
+	for n := 3; n <= 10; n++ {
+		b.Run(fmt.Sprintf("degree=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(int64(500 + n)))
+			nets := make([]tree.Net, 16)
+			for i := range nets {
+				nets[i] = netgen.Clustered(rng, n, 100000, 4000)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := dw.FrontierContext(context.Background(), nets[i%len(nets)], dw.DefaultOptions()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -5,13 +5,30 @@
 //
 // The state S_{v,Q} is the Pareto set of (wirelength, delay) objective
 // vectors of trees rooted at grid node v spanning the sink subset Q.
-// Recurrence (1) of the paper:
+// Recurrence (1) of the paper, with M_{v,Q} the merge candidates at v:
 //
-//	S_{v,Q} = Pareto( ∪_u  S_{u,Q} + ‖u−v‖₁ ,            (extension)
-//	                  ∪_{Q₁⊂Q} S_{v,Q₁} ⊕ S_{v,Q\Q₁} )    (merge)
+//	M_{v,Q} = Pareto( ∪_{Q₁⊂Q} S_{v,Q₁} ⊕ S_{v,Q\Q₁} )    (merge)
+//	S_{v,Q} = Pareto( ∪_u  M_{u,Q} + ‖u−v‖₁ )            (extension)
 //
 // Subsets are processed in increasing popcount order; every solution keeps
 // a backpointer so the corresponding tree can be reconstructed exactly.
+//
+// Neither step sorts. Every state is canonical (w ascending, d strictly
+// descending), so one split's S₁ ⊕ S₂ is a two-pointer walk: emit
+// (w₁+w₂, max(d₁,d₂)), then advance the side holding the max (both on a
+// tie). Each emitted point comes from exactly one pair, and a two-way
+// Pareto merge folds the splits' walks into M. The extension adds the same
+// L1 length to both objectives, so the union over u separates into a row
+// stage and a column stage over the rank rectangle: along each grid line a
+// forward and a backward sweep merge every cell's list with its
+// neighbour's running list shifted by the grid gap. Corner-pruned cells
+// take part as transit cells.
+//
+// Ties between equal (w, d) are broken by the total order
+// (w, d, kind, a, b) of a solution and its backpointer, so the tree kept
+// for a frontier point is defined here, not by a sort's internals. The
+// survivors of each state are pushed contiguously into one arena, in grid
+// order, and S is one flat table of arena ranges addressed by q·nn+v.
 //
 // The three pruning lemmas of §V-A are implemented and independently
 // switchable for ablation studies:
@@ -27,6 +44,7 @@ package dw
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -64,14 +82,14 @@ func FrontierContext(ctx context.Context, net tree.Net, opts Options) ([]pareto.
 	if err != nil {
 		return nil, err
 	}
-	entries, err := c.run(ctx)
+	fr, err := c.run(ctx)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]pareto.Item[*tree.Tree], len(entries))
-	for i, e := range entries {
-		t := c.reconstruct(e)
-		out[i] = pareto.Item[*tree.Tree]{Sol: pareto.Sol{W: c.arena[e].w, D: c.arena[e].d}, Val: t}
+	out := make([]pareto.Item[*tree.Tree], fr.n)
+	for k := range out {
+		e := fr.off + int32(k)
+		out[k] = pareto.Item[*tree.Tree]{Sol: pareto.Sol{W: c.arena[e].w, D: c.arena[e].d}, Val: c.reconstruct(e)}
 	}
 	return out, nil
 }
@@ -84,13 +102,13 @@ func FrontierSolsContext(ctx context.Context, net tree.Net, opts Options) ([]par
 	if err != nil {
 		return nil, err
 	}
-	entries, err := c.run(ctx)
+	fr, err := c.run(ctx)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]pareto.Sol, len(entries))
-	for i, e := range entries {
-		out[i] = pareto.Sol{W: c.arena[e].w, D: c.arena[e].d}
+	out := make([]pareto.Sol, fr.n)
+	for k, e := range c.arena[fr.off : fr.off+fr.n] {
+		out[k] = pareto.Sol{W: e.w, D: e.d}
 	}
 	return out, nil
 }
@@ -113,6 +131,34 @@ type ent struct {
 	kind entKind
 }
 
+// cand is a solution of one DP step before it enters the arena. The step
+// fixes its kind (kMerge in the merge step, kExt in the extension), so the
+// total order (w, d, kind, a, b) reduces to (w, d, a, b) among cands.
+type cand struct {
+	w, d int64
+	a, b int32
+}
+
+// before reports whether x precedes y in the total order (w, d, a, b).
+func (x cand) before(y cand) bool {
+	if x.w != y.w {
+		return x.w < y.w
+	}
+	if x.d != y.d {
+		return x.d < y.d
+	}
+	if x.a != y.a {
+		return x.a < y.a
+	}
+	return x.b < y.b
+}
+
+// span is a contiguous range of entries: of the arena for a state, of a
+// sweep buffer for a per-cell list.
+type span struct{ off, n int32 }
+
+func (s span) of(buf []cand) []cand { return buf[s.off : s.off+s.n] }
+
 type computation struct {
 	net     tree.Net
 	opts    Options
@@ -128,20 +174,36 @@ type computation struct {
 	rootNd  int
 	// boundary circular order position of each sink, -1 if interior
 	boundaryPos []int
-	// S[q] maps grid node -> entry indices (canonical frontier order).
-	S [][][]int32
+	nn          int // grid nodes
+	// S[q*nn+v] is the arena range of S_{v,q}; a state's survivors are
+	// pushed contiguously in canonical frontier order.
+	S []span
+	// M[v] is the arena range of the current subset's merge (or base)
+	// candidates at v; empty outside the subset's inside nodes.
+	M []span
 
-	// Per-subset scratch, reused across the 2^m DP steps (the DP runs
-	// once per local-search window, so these appends dominated the
-	// router's allocation profile before they were hoisted here).
+	// Per-call scratch, sized from the grid once and reused across the
+	// 2^m DP steps. Nothing outlives the call.
 	insideBuf []int      // insideNodes result
 	splitsBuf []int      // splits / boundarySplits result
 	msBuf     []bdMember // boundarySplits members
-	srcsBuf   []int      // extend's non-empty source nodes
 	// seenStamp/seenGen replace boundarySplits' per-call map: a submask is
 	// "seen" when its stamp equals the current generation.
 	seenStamp []int32
 	seenGen   int32
+	// Merge-step fold: the accumulator, the next accumulator, one walk.
+	acc, next, walk []cand
+	sw              sweep
+}
+
+// sweep is the extension step's scratch: per-cell lists of the rank
+// rectangle (cell index (j−jlo)·width + (i−ilo)) held as spans into
+// shared buffers, plus one grid line's directional lists.
+type sweep struct {
+	seed, row, out       []cand // M as extension cands, row stage, column stage
+	seedAt, rowAt, outAt []span
+	fwd, bwd             []cand // one line's forward and backward lists
+	fwdAt                []span
 }
 
 // bdMember is one sink of a boundary-split enumeration with its position
@@ -186,6 +248,9 @@ func newComputation(net tree.Net, opts Options) (*computation, error) {
 	if c.m > 62 {
 		return nil, fmt.Errorf("dw: too many distinct sinks (%d)", c.m)
 	}
+	if err := c.checkRange(); err != nil {
+		return nil, err
+	}
 	rootNd, err := c.grid.Locate(src)
 	if err != nil {
 		return nil, err
@@ -194,6 +259,24 @@ func newComputation(net tree.Net, opts Options) (*computation, error) {
 	c.computeKeep()
 	c.computeBoundary()
 	return c, nil
+}
+
+// checkRange rejects nets whose DP sums could overflow int64. A state's
+// tree has at most 2m−1 merge and base nodes, each reached by at most two
+// extension edges no longer than the half-perimeter HP of the pins, so
+// every value the DP forms (sweep intermediates included) is at most
+// (4m−2)·HP; HP ≤ MaxInt64/(4m) bounds it. The spans are computed in
+// uint64 because maxX−minX itself can overflow int64.
+func (c *computation) checkRange() error {
+	xs, ys := c.grid.Xs, c.grid.Ys
+	spanX := uint64(xs[len(xs)-1]) - uint64(xs[0])
+	spanY := uint64(ys[len(ys)-1]) - uint64(ys[0])
+	limit := uint64(math.MaxInt64) / uint64(4*max(c.m, 1))
+	if spanX > limit || spanY > limit-spanX {
+		return fmt.Errorf("dw: pin spans %d×%d exceed half-perimeter %d, the int64-safe bound for %d distinct sinks",
+			spanX, spanY, limit, c.m)
+	}
+	return nil
 }
 
 // computeKeep applies Lemma 2: a grid node is pruned when one of the four
@@ -268,52 +351,56 @@ func (c *computation) computeBoundary() {
 	}
 }
 
-// run executes the dynamic program and returns the entry indices of the
+// run executes the dynamic program and returns the arena range of the
 // final frontier S_{r, all sinks}. The context is checked before every
 // sink-subset so cancellation binds within one DP step.
-func (c *computation) run(ctx context.Context) ([]int32, error) {
+func (c *computation) run(ctx context.Context) (span, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return span{}, err
 	}
 	if c.m == 0 {
 		// No distinct sinks: the frontier is the single empty tree.
 		c.arena = append(c.arena, ent{w: 0, d: 0, kind: kBase, sink: -1})
-		return []int32{0}, nil
+		return span{0, 1}, nil
 	}
 	full := (1 << c.m) - 1
-	c.S = make([][][]int32, full+1)
-	nn := c.grid.NumNodes()
-
-	// Subsets in increasing popcount order.
-	order := make([]int, 0, full)
-	for q := 1; q <= full; q++ {
-		order = append(order, q)
+	c.nn = c.grid.NumNodes()
+	c.S = make([]span, (full+1)*c.nn)
+	c.M = make([]span, c.nn)
+	// Every subset stores at least one entry per unpruned node and
+	// typically fewer than two, so the arena rarely grows past this.
+	c.arena = make([]ent, 0, 2*(full+1)*len(c.nodes))
+	longest := max(len(c.grid.Xs), len(c.grid.Ys))
+	c.sw = sweep{
+		seed: make([]cand, 0, 2*c.nn), row: make([]cand, 0, 2*c.nn), out: make([]cand, 0, 2*c.nn),
+		seedAt: make([]span, c.nn), rowAt: make([]span, c.nn), outAt: make([]span, c.nn),
+		fwd: make([]cand, 0, 2*longest), bwd: make([]cand, 0, 2*longest), fwdAt: make([]span, longest),
 	}
-	slices.SortFunc(order, func(a, b int) int {
-		if ba, bb := bits.OnesCount(uint(a)), bits.OnesCount(uint(b)); ba != bb {
-			return ba - bb
-		}
-		return a - b
-	})
 
-	for _, q := range order {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	// Subsets in increasing popcount order, increasing within a popcount
+	// (Gosper's hack steps to the next mask with the same popcount).
+	for k := 1; k <= c.m; k++ {
+		for q := (1 << k) - 1; q <= full; {
+			if err := ctx.Err(); err != nil {
+				return span{}, err
+			}
+			inside := c.insideNodes(q)
+			if k == 1 {
+				s := bits.TrailingZeros(uint(q))
+				c.M[c.sinkNd[s]] = span{c.push(ent{w: 0, d: 0, kind: kBase, sink: int16(s)}), 1}
+			} else {
+				c.mergeCandidates(q, inside)
+			}
+			c.extend(q, inside)
+			for _, v := range inside {
+				c.M[v] = span{}
+			}
+			low := q & -q
+			r := q + low
+			q = (((r ^ q) >> 2) / low) | r
 		}
-		Sq := make([][]int32, nn)
-		// M: merge/base candidates per node.
-		M := make([][]int32, nn)
-		if bits.OnesCount(uint(q)) == 1 {
-			s := bits.TrailingZeros(uint(q))
-			e := c.push(ent{w: 0, d: 0, kind: kBase, sink: int16(s)})
-			M[c.sinkNd[s]] = []int32{e}
-		} else {
-			c.mergeCandidates(q, M)
-		}
-		c.extend(q, M, Sq)
-		c.S[q] = Sq
 	}
-	return c.stateAt(full, c.rootNd), nil
+	return c.S[full*c.nn+c.rootNd], nil
 }
 
 // bbox returns the inclusive rank-coordinate bounding box of the sinks in q.
@@ -345,9 +432,18 @@ func (c *computation) bbox(q int) (ilo, jlo, ihi, jhi int) {
 	return
 }
 
+// rect returns the rank rectangle the extension of q sweeps: BB(q) with
+// Lemma 3, the whole grid without it.
+func (c *computation) rect(q int) (ilo, jlo, ihi, jhi int) {
+	if c.opts.ProjectOutside {
+		return c.bbox(q)
+	}
+	return 0, 0, len(c.grid.Xs) - 1, len(c.grid.Ys) - 1
+}
+
 // insideNodes returns the unpruned grid nodes inside the rank bounding box
-// of q (all unpruned nodes when Lemma 3 is disabled). The result aliases
-// a scratch buffer valid until the next call.
+// of q (all unpruned nodes when Lemma 3 is disabled), in grid order. The
+// result aliases a scratch buffer valid until the next call.
 func (c *computation) insideNodes(q int) []int {
 	if !c.opts.ProjectOutside {
 		return c.nodes
@@ -366,28 +462,105 @@ func (c *computation) insideNodes(q int) []int {
 	return out
 }
 
-// mergeCandidates fills M[v] with the Pareto-filtered merge solutions
-// S_{v,Q1} ⊕ S_{v,Q2} over the admissible splits of q.
-func (c *computation) mergeCandidates(q int, M [][]int32) {
+// mergeCandidates pushes M_{v,q}, the Pareto filter of S_{v,Q1} ⊕ S_{v,Q2}
+// over the admissible splits of q, for every inside node v in order.
+func (c *computation) mergeCandidates(q int, inside []int) {
 	splits := c.splits(q)
-	inside := c.insideNodes(q)
-	var cand []ent
 	for _, v := range inside {
-		cand = cand[:0]
+		acc := c.acc[:0]
 		for _, q1 := range splits {
-			q2 := q &^ q1
-			s1 := c.stateAt(q1, v)
-			s2 := c.stateAt(q2, v)
-			for _, e1 := range s1 {
-				for _, e2 := range s2 {
-					w := c.arena[e1].w + c.arena[e2].w
-					d := geom.Max64(c.arena[e1].d, c.arena[e2].d)
-					cand = append(cand, ent{w: w, d: d, kind: kMerge, a: e1, b: e2})
+			s1, s2 := c.S[q1*c.nn+v], c.S[(q&^q1)*c.nn+v]
+			if s1.n == 0 || s2.n == 0 {
+				continue
+			}
+			x, y := c.arena[s1.off:s1.off+s1.n], c.arena[s2.off:s2.off+s2.n]
+			// Skip the split when acc strictly dominates its ideal corner;
+			// an equal corner may still tie, so it is walked.
+			if dominatesCorner(acc, x[0].w+y[0].w, max(x[len(x)-1].d, y[len(y)-1].d)) {
+				continue
+			}
+			walk := c.walk[:0]
+			for i, j := 0, 0; i < len(x) && j < len(y); {
+				d := max(x[i].d, y[j].d)
+				walk = append(walk, cand{w: x[i].w + y[j].w, d: d, a: s1.off + int32(i), b: s2.off + int32(j)})
+				if x[i].d == d {
+					i++
+				}
+				if y[j].d == d {
+					j++
 				}
 			}
+			c.walk = walk
+			c.next = paretoMerge(c.next[:0], acc, walk, 0)
+			acc, c.next = c.next, acc
 		}
-		M[v] = c.filterPush(cand)
+		c.acc = acc
+		start := int32(len(c.arena))
+		for _, e := range acc {
+			c.arena = append(c.arena, ent{w: e.w, d: e.d, a: e.a, b: e.b, kind: kMerge})
+		}
+		c.M[v] = span{start, int32(len(acc))}
 	}
+}
+
+// dominatesCorner reports whether the canonical list acc holds a point
+// that weakly dominates (w, d) and differs from it.
+func dominatesCorner(acc []cand, w, d int64) bool {
+	// The last point with acc.w ≤ w has the least d among them.
+	lo, hi := 0, len(acc)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if acc[mid].w <= w {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == 0 {
+		return false
+	}
+	p := acc[lo-1]
+	return p.d < d || (p.d == d && p.w < w)
+}
+
+// paretoMerge appends to dst the Pareto filter of x ∪ (y + g), where y + g
+// adds g to both objectives of every entry of y. Both inputs are canonical
+// and so is the output; of entries with equal (w, d) the first in the
+// total order survives, and exact duplicates collapse.
+func paretoMerge(dst, x, y []cand, g int64) []cand {
+	best := int64(math.MaxInt64)
+	i, j := 0, 0
+	for i < len(x) && j < len(y) {
+		e := y[j]
+		e.w += g
+		e.d += g
+		if x[i].before(e) {
+			e = x[i]
+			i++
+		} else {
+			j++
+		}
+		if e.d < best {
+			dst = append(dst, e)
+			best = e.d
+		}
+	}
+	// One side is exhausted; the other's d strictly decreases, so its
+	// survivors are the suffix below best.
+	for ; i < len(x); i++ {
+		if x[i].d < best {
+			return append(dst, x[i:]...)
+		}
+	}
+	for ; j < len(y); j++ {
+		if y[j].d+g < best {
+			for _, e := range y[j:] {
+				dst = append(dst, cand{w: e.w + g, d: e.d + g, a: e.a, b: e.b})
+			}
+			return dst
+		}
+	}
+	return dst
 }
 
 // splits enumerates the submasks q1 of q to merge with q\q1, each
@@ -457,39 +630,50 @@ func (c *computation) boundarySplits(q, low int) []int {
 	return out
 }
 
-// extend computes the extension closure: S_{v,q} for inside nodes from the
-// union over inside u of M_u + dist(u,v). Outside nodes are resolved
-// lazily through stateAt (Lemma 3).
-func (c *computation) extend(q int, M, Sq [][]int32) {
-	inside := c.insideNodes(q)
-	// Collect source nodes with non-empty M.
-	srcs := c.srcsBuf[:0]
-	for _, u := range inside {
-		if len(M[u]) > 0 {
-			srcs = append(srcs, u)
+// extend computes S_{v,q} = Pareto(∪_u M_{u,q} + ‖u−v‖₁) over the rank
+// rectangle of q by a row stage and a column stage of line sweeps, then
+// pushes the states of the inside nodes in grid order. Outside nodes get
+// their states by projection (Lemma 3).
+func (c *computation) extend(q int, inside []int) {
+	ilo, jlo, ihi, jhi := c.rect(q)
+	w := ihi - ilo + 1
+	sw := &c.sw
+	// Seed every cell with its M as extension candidates carrying their
+	// final backpointer (entry, source node).
+	sw.seed = sw.seed[:0]
+	for j := jlo; j <= jhi; j++ {
+		for i := ilo; i <= ihi; i++ {
+			u := c.grid.Node(i, j)
+			m := c.M[u]
+			start := int32(len(sw.seed))
+			for e := m.off; e < m.off+m.n; e++ {
+				sw.seed = append(sw.seed, cand{w: c.arena[e].w, d: c.arena[e].d, a: e, b: int32(u)})
+			}
+			sw.seedAt[(j-jlo)*w+(i-ilo)] = span{start, m.n}
 		}
 	}
-	c.srcsBuf = srcs
-	var cand []ent
+	sw.row = sw.row[:0]
+	for j := jlo; j <= jhi; j++ {
+		sw.row = sw.line(c.grid.Xs[ilo:ihi+1], sw.seed, sw.seedAt, sw.row, sw.rowAt, (j-jlo)*w, 1)
+	}
+	sw.out = sw.out[:0]
+	for i := ilo; i <= ihi; i++ {
+		sw.out = sw.line(c.grid.Ys[jlo:jhi+1], sw.row, sw.rowAt, sw.out, sw.outAt, i-ilo, w)
+	}
 	for _, v := range inside {
-		cand = cand[:0]
-		for _, u := range srcs {
-			dist := c.grid.Dist(u, v)
-			for _, e := range M[u] {
-				cand = append(cand, ent{
-					w: c.arena[e].w + dist, d: c.arena[e].d + dist,
-					kind: kExt, a: e, b: int32(u),
-				})
-			}
+		i, j := c.grid.Coords(v)
+		start := int32(len(c.arena))
+		l := sw.outAt[(j-jlo)*w+(i-ilo)].of(sw.out)
+		for _, e := range l {
+			c.arena = append(c.arena, ent{w: e.w, d: e.d, a: e.a, b: e.b, kind: kExt})
 		}
-		Sq[v] = c.filterPush(cand)
+		c.S[q*c.nn+v] = span{start, int32(len(l))}
 	}
 	if !c.opts.ProjectOutside {
 		return
 	}
 	// Outside nodes: projection derivation (Lemma 3), computed eagerly so
 	// later merges can read any node's state uniformly.
-	ilo, jlo, ihi, jhi := c.bbox(q)
 	for _, v := range c.nodes {
 		i, j := c.grid.Coords(v)
 		if i >= ilo && i <= ihi && j >= jlo && j <= jhi {
@@ -505,16 +689,50 @@ func (c *computation) extend(q int, M, Sq [][]int32) {
 			panic("dw: projection target pruned; Lemma 2/3 invariant broken")
 		}
 		dist := c.grid.Dist(u, v)
-		src := Sq[u]
-		der := make([]int32, 0, len(src))
-		for _, e := range src {
-			der = append(der, c.push(ent{
-				w: c.arena[e].w + dist, d: c.arena[e].d + dist,
-				kind: kExt, a: e, b: int32(u),
-			}))
+		src := c.S[q*c.nn+u]
+		start := int32(len(c.arena))
+		for e := src.off; e < src.off+src.n; e++ {
+			x := c.arena[e]
+			c.arena = append(c.arena, ent{w: x.w + dist, d: x.d + dist, kind: kExt, a: e, b: int32(u)})
 		}
-		Sq[v] = der
+		c.S[q*c.nn+v] = span{start, src.n}
 	}
+}
+
+// line sweeps one grid line of len(pos) cells at coordinates pos. Cell k
+// reads its list from in at inAt[base+k·stride]; its result,
+// Pareto(∪_k' in_k' + |pos_k − pos_k'|), is appended to dst and its span
+// stored at dstAt[base+k·stride]. The forward sweep keeps
+// f_k = Pareto(in_k ∪ f_{k−1} + gap), the backward sweep b_k likewise from
+// the other end, and the result merges f_k with b_k.
+func (s *sweep) line(pos []int64, in []cand, inAt []span, dst []cand, dstAt []span, base, stride int) []cand {
+	s.fwd = s.fwd[:0]
+	prev := span{}
+	for k := range pos {
+		var g int64
+		if k > 0 {
+			g = pos[k] - pos[k-1]
+		}
+		start := int32(len(s.fwd))
+		s.fwd = paretoMerge(s.fwd, inAt[base+k*stride].of(in), prev.of(s.fwd), g)
+		prev = span{start, int32(len(s.fwd)) - start}
+		s.fwdAt[k] = prev
+	}
+	s.bwd = s.bwd[:0]
+	prev = span{}
+	for k := len(pos) - 1; k >= 0; k-- {
+		var g int64
+		if k < len(pos)-1 {
+			g = pos[k+1] - pos[k]
+		}
+		start := int32(len(s.bwd))
+		s.bwd = paretoMerge(s.bwd, inAt[base+k*stride].of(in), prev.of(s.bwd), g)
+		prev = span{start, int32(len(s.bwd)) - start}
+		at := int32(len(dst))
+		dst = paretoMerge(dst, s.fwdAt[k].of(s.fwd), prev.of(s.bwd), 0)
+		dstAt[base+k*stride] = span{at, int32(len(dst)) - at}
+	}
+	return dst
 }
 
 func clamp(x, lo, hi int) int {
@@ -527,57 +745,9 @@ func clamp(x, lo, hi int) int {
 	return x
 }
 
-// stateAt returns S_{q, v}.
-func (c *computation) stateAt(q, v int) []int32 {
-	return c.S[q][v]
-}
-
 func (c *computation) push(e ent) int32 {
 	c.arena = append(c.arena, e)
 	return int32(len(c.arena) - 1)
-}
-
-// filterPush Pareto-filters candidate entries and pushes only the
-// survivors into the arena, returning their indices in canonical order
-// (w increasing, d strictly decreasing), duplicates dropped.
-func (c *computation) filterPush(cand []ent) []int32 {
-	if len(cand) == 0 {
-		return nil
-	}
-	slices.SortFunc(cand, func(a, b ent) int {
-		if a.w != b.w {
-			if a.w < b.w {
-				return -1
-			}
-			return 1
-		}
-		switch {
-		case a.d < b.d:
-			return -1
-		case a.d > b.d:
-			return 1
-		}
-		return 0
-	})
-	// Count survivors first so the persistent result is one exact
-	// allocation rather than a growth sequence.
-	n := 0
-	bestD := int64(1<<63 - 1)
-	for _, e := range cand {
-		if e.d < bestD {
-			n++
-			bestD = e.d
-		}
-	}
-	out := make([]int32, 0, n)
-	bestD = int64(1<<63 - 1)
-	for _, e := range cand {
-		if e.d < bestD {
-			out = append(out, c.push(e))
-			bestD = e.d
-		}
-	}
-	return out
 }
 
 // reconstruct rebuilds the routing tree of entry e, rooted at the source.

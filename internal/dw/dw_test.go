@@ -2,6 +2,7 @@ package dw
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -272,6 +273,47 @@ func TestFrontierDegree7Smoke(t *testing.T) {
 			if it.Val.Sol() != it.Sol {
 				t.Fatalf("objective mismatch: %v vs %v", it.Val.Sol(), it.Sol)
 			}
+		}
+	}
+}
+
+// boundNet returns a degree-6 net (five distinct sinks) whose pin
+// half-perimeter is exactly the int64-safe bound MaxInt64/(4·5).
+func boundNet() tree.Net {
+	hp := int64(math.MaxInt64) / 20
+	a, b := hp/2, hp-hp/2
+	return tree.NewNet(geom.Pt(0, 0), geom.Pt(a, 0), geom.Pt(0, b), geom.Pt(a, b), geom.Pt(a/2, b/3), geom.Pt(a/3, b/2))
+}
+
+func TestFrontierRejectsOverflow(t *testing.T) {
+	const big = int64(1) << 62
+	corners := tree.NewNet(geom.Pt(-big, -big), geom.Pt(big, -big), geom.Pt(-big, big), geom.Pt(big, big))
+	rng := rand.New(rand.NewSource(62))
+	wide := randNet(rng, 6, big)
+	over := boundNet()
+	over.Pins[1].X++ // one past the bound
+	for _, net := range []tree.Net{corners, wide, over} {
+		if sols, err := FrontierSolsContext(context.Background(), net, DefaultOptions()); err == nil {
+			t.Fatalf("net %v: frontier %v, want an overflow error", net.Pins, sols)
+		}
+	}
+}
+
+func TestFrontierAtRangeBound(t *testing.T) {
+	net := boundNet()
+	items, err := FrontierContext(context.Background(), net, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, it := range items {
+		if it.Sol.W < 0 || it.Sol.D < 0 {
+			t.Fatalf("negative objectives %v", it.Sol)
+		}
+		if err := it.Val.Validate(net); err != nil {
+			t.Fatal(err)
+		}
+		if got := it.Val.Sol(); got != it.Sol {
+			t.Fatalf("tree objectives %v != reported %v", got, it.Sol)
 		}
 	}
 }

@@ -107,7 +107,9 @@ func refine(t *tree.Tree) {
 
 // oneSteiner runs the Kahng–Robins iterated 1-Steiner heuristic: greedily
 // add the Hanan candidate point whose inclusion reduces the MST wirelength
-// the most, until no candidate helps.
+// the most, until no candidate helps. Each candidate's MST length comes
+// from the current MST by vertex insertion in O(k); the MST is rebuilt
+// once per accepted point.
 func oneSteiner(net tree.Net) *tree.Tree {
 	g := hanan.NewGrid(net.Pins)
 	pinSet := map[geom.Point]bool{}
@@ -120,63 +122,100 @@ func oneSteiner(net tree.Net) *tree.Tree {
 			candidates = append(candidates, p)
 		}
 	}
-	steiner := []geom.Point{}
-	base := mstLength(net.Pins, steiner)
-	for round := 0; round < net.Degree(); round++ {
+	n := net.Degree()
+	pts := append(make([]geom.Point, 0, 2*n), net.Pins...)
+	var m mst
+	m.build(pts)
+	for round := 0; round < n; round++ {
 		bestGain := int64(0)
 		bestIdx := -1
 		for ci, c := range candidates {
-			l := mstLength(net.Pins, append(steiner, c))
-			if gain := base - l; gain > bestGain {
+			if gain := m.total - m.withPoint(pts, c); gain > bestGain {
 				bestGain, bestIdx = gain, ci
 			}
 		}
 		if bestIdx < 0 {
 			break
 		}
-		steiner = append(steiner, candidates[bestIdx])
+		pts = append(pts, candidates[bestIdx])
 		candidates = append(candidates[:bestIdx], candidates[bestIdx+1:]...)
-		base -= bestGain
+		m.build(pts)
 	}
-	t := mstWithSteiner(net, steiner)
+	t := mstWithSteiner(net, pts[n:])
 	// Degree-2 Steiner points are artefacts of the candidate set; splice
 	// them and apply the trunk-sharing passes.
 	refine(t)
 	return t
 }
 
-// mstLength returns the rectilinear MST length over pins plus Steiner
-// points, with Steiner points of degree < 3 contributing no benefit
-// (classic 1-Steiner evaluation simply measures the MST).
-func mstLength(pins []geom.Point, steiner []geom.Point) int64 {
-	pts := append(append([]geom.Point(nil), pins...), steiner...)
+// mst is a rectilinear minimum spanning tree in Prim form: vertices in
+// insertion order, each with its parent and the weight of the edge to it.
+// Its weight is unique even when the tree is not, so every 1-Steiner
+// gain measured against it is too.
+type mst struct {
+	order  []int   // vertices in Prim insertion order; order[0] = 0
+	parent []int   // parent of each vertex, -1 for vertex 0
+	edge   []int64 // weight of each vertex's edge to its parent
+	total  int64
+	carry  []int64 // withPoint scratch
+}
+
+// build computes the MST of pts by Prim's algorithm from pts[0], O(k²).
+func (m *mst) build(pts []geom.Point) {
 	k := len(pts)
-	const inf = int64(1) << 62
+	*m = mst{order: make([]int, 1, k), parent: make([]int, k), edge: make([]int64, k), carry: make([]int64, k)}
+	m.parent[0] = -1
 	dist := make([]int64, k)
 	inT := make([]bool, k)
+	inT[0] = true
 	for i := 1; i < k; i++ {
 		dist[i] = geom.Dist(pts[i], pts[0])
 	}
-	inT[0] = true
-	var total int64
 	for added := 1; added < k; added++ {
-		best, bestD := -1, inf
+		best := -1
 		for i := 1; i < k; i++ {
-			if !inT[i] && dist[i] < bestD {
-				best, bestD = i, dist[i]
+			if !inT[i] && (best < 0 || dist[i] < dist[best]) {
+				best = i
 			}
 		}
-		total += bestD
 		inT[best] = true
+		m.edge[best] = dist[best]
+		m.total += dist[best]
+		m.order = append(m.order, best)
 		for i := 1; i < k; i++ {
 			if !inT[i] {
 				if d := geom.Dist(pts[i], pts[best]); d < dist[i] {
-					dist[i] = d
+					dist[i], m.parent[i] = d, best
 				}
 			}
 		}
 	}
-	return total
+}
+
+// withPoint returns the MST length of pts ∪ {c} by vertex insertion
+// (Chin & Houck): the new MST lies within the old one plus the star from
+// c. Visiting vertices children-first (reverse Prim order), each vertex
+// has two edges left, its tree edge and a carried edge to c; the lighter
+// joins the MST and the heavier becomes the parent's carried edge when
+// lighter than the parent's own. The root's carried edge closes the tree.
+func (m *mst) withPoint(pts []geom.Point, c geom.Point) int64 {
+	carry := m.carry
+	for v, p := range pts {
+		carry[v] = geom.Dist(p, c)
+	}
+	var total int64
+	for k := len(m.order) - 1; k >= 1; k-- {
+		v := m.order[k]
+		lo, hi := carry[v], m.edge[v]
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		total += lo
+		if p := m.parent[v]; hi < carry[p] {
+			carry[p] = hi
+		}
+	}
+	return total + carry[0]
 }
 
 // mstWithSteiner builds the rooted MST over pins and chosen Steiner points.

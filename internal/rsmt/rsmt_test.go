@@ -3,10 +3,12 @@ package rsmt
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"patlabor/internal/dw"
 	"patlabor/internal/geom"
+	"patlabor/internal/hanan"
 	"patlabor/internal/tree"
 )
 
@@ -124,5 +126,112 @@ func TestWirelengthMatchesTree(t *testing.T) {
 	net := randNet(rng, 6, 50)
 	if Wirelength(net) != Tree(net).Wirelength() {
 		t.Fatal("Wirelength diverges from Tree")
+	}
+}
+
+// refOneSteiner is iterated 1-Steiner with a fresh Prim per candidate,
+// the reference for oneSteiner's vertex-insertion MST lengths.
+func refOneSteiner(net tree.Net) *tree.Tree {
+	g := hanan.NewGrid(net.Pins)
+	pinSet := map[geom.Point]bool{}
+	for _, p := range net.Pins {
+		pinSet[p] = true
+	}
+	var candidates []geom.Point
+	for idx := 0; idx < g.NumNodes(); idx++ {
+		if p := g.Point(idx); !pinSet[p] {
+			candidates = append(candidates, p)
+		}
+	}
+	steiner := []geom.Point{}
+	base := mstLength(net.Pins, steiner)
+	for round := 0; round < net.Degree(); round++ {
+		bestGain := int64(0)
+		bestIdx := -1
+		for ci, c := range candidates {
+			l := mstLength(net.Pins, append(steiner, c))
+			if gain := base - l; gain > bestGain {
+				bestGain, bestIdx = gain, ci
+			}
+		}
+		if bestIdx < 0 {
+			break
+		}
+		steiner = append(steiner, candidates[bestIdx])
+		candidates = append(candidates[:bestIdx], candidates[bestIdx+1:]...)
+		base -= bestGain
+	}
+	t := mstWithSteiner(net, steiner)
+	refine(t)
+	return t
+}
+
+// mstLength returns the rectilinear MST length over pins plus Steiner
+// points by Prim's algorithm, O(k²).
+func mstLength(pins []geom.Point, steiner []geom.Point) int64 {
+	pts := append(append([]geom.Point(nil), pins...), steiner...)
+	k := len(pts)
+	const inf = int64(1) << 62
+	dist := make([]int64, k)
+	inT := make([]bool, k)
+	for i := 1; i < k; i++ {
+		dist[i] = geom.Dist(pts[i], pts[0])
+	}
+	inT[0] = true
+	var total int64
+	for added := 1; added < k; added++ {
+		best, bestD := -1, inf
+		for i := 1; i < k; i++ {
+			if !inT[i] && dist[i] < bestD {
+				best, bestD = i, dist[i]
+			}
+		}
+		total += bestD
+		inT[best] = true
+		for i := 1; i < k; i++ {
+			if !inT[i] {
+				if d := geom.Dist(pts[i], pts[best]); d < dist[i] {
+					dist[i] = d
+				}
+			}
+		}
+	}
+	return total
+}
+
+func TestMSTInsertionMatchesPrim(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for trial := 0; trial < 200; trial++ {
+		net := randNet(rng, 1+rng.Intn(20), []int64{5, 60, 1000}[trial%3])
+		var m mst
+		m.build(net.Pins)
+		if want := mstLength(net.Pins, nil); m.total != want {
+			t.Fatalf("trial %d: MST %d, Prim %d", trial, m.total, want)
+		}
+		for k := 0; k < 10; k++ {
+			c := geom.Pt(rng.Int63n(1000), rng.Int63n(1000))
+			if got, want := m.withPoint(net.Pins, c), mstLength(net.Pins, []geom.Point{c}); got != want {
+				t.Fatalf("trial %d: insertion of %v gives %d, Prim %d (pins %v)", trial, c, got, want, net.Pins)
+			}
+		}
+	}
+}
+
+// TestOneSteinerMatchesReference asserts that the vertex-insertion
+// 1-Steiner picks the same Steiner points, so builds the same tree, as
+// the per-candidate Prim reference.
+func TestOneSteinerMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	trials, maxPins := 120, 38
+	if testing.Short() {
+		trials, maxPins = 40, 20
+	}
+	for trial := 0; trial < trials; trial++ {
+		n := 3 + rng.Intn(maxPins-2)
+		net := randNet(rng, n, []int64{8, 100, 5000}[trial%3])
+		got, want := oneSteiner(net), refOneSteiner(net)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (%d pins): trees differ\n got: %+v\nwant: %+v", trial, n, got, want)
+		}
 	}
 }

@@ -187,7 +187,10 @@ func prepareOptions(opts Options) (core.Options, error) {
 }
 
 // ExactFrontier computes the provably exact Pareto frontier with the
-// Pareto-DW dynamic program. The degree must be at most MaxExactDegree.
+// Pareto-DW dynamic program. The degree must be at most MaxExactDegree,
+// and the pins' half-perimeter at most MaxInt64/(4m) for m distinct
+// sinks, the bound under which no objective sum can overflow; larger
+// nets return an error.
 func ExactFrontier(net Net) ([]Candidate, error) {
 	return dw.FrontierContext(context.Background(), net, dw.DefaultOptions())
 }

@@ -333,3 +333,48 @@ func TestReroutePublicAPI(t *testing.T) {
 		t.Fatal("source removal accepted")
 	}
 }
+
+// TestRangeOverflowIsAnError checks that nets whose DP sums could wrap
+// int64 are rejected rather than answered with wrapped objectives, and
+// that a net at the declared bound still routes exactly.
+func TestRangeOverflowIsAnError(t *testing.T) {
+	const big = int64(1) << 62
+	corners := NewNet(Pt(-big, -big), Pt(big, -big), Pt(-big, big), Pt(big, big))
+	if cands, err := ExactFrontier(corners); err == nil {
+		t.Fatalf("ExactFrontier on ±2^62 corners: %v, want an error", cands)
+	}
+	rng := rand.New(rand.NewSource(62))
+	pins := make([]Point, 6)
+	for i := range pins {
+		pins[i] = Pt(rng.Int63n(big), rng.Int63n(big))
+	}
+	wide := Net{Pins: pins}
+	if cands, err := ExactFrontier(wide); err == nil {
+		t.Fatalf("ExactFrontier on a degree-6 net in [0,2^62]²: %v, want an error", cands)
+	}
+	if cands, err := Route(wide, Options{}); err == nil {
+		t.Fatalf("Route on a degree-6 net in [0,2^62]²: %v, want an error", cands)
+	}
+
+	// Five distinct sinks: half-perimeter MaxInt64/20 is the bound.
+	hp := int64(1<<63-1) / 20
+	a, b := hp/2, hp-hp/2
+	atBound := NewNet(Pt(0, 0), Pt(a, 0), Pt(0, b), Pt(a, b), Pt(a/2, b/3), Pt(a/3, b/2))
+	for _, r := range []struct {
+		name  string
+		route func(Net) ([]Candidate, error)
+	}{
+		{"ExactFrontier", ExactFrontier},
+		{"Route", func(n Net) ([]Candidate, error) { return Route(n, Options{}) }},
+	} {
+		cands, err := r.route(atBound)
+		if err != nil {
+			t.Fatalf("%s at the bound: %v", r.name, err)
+		}
+		for _, c := range cands {
+			if c.Sol.W < 0 || c.Sol.D < 0 || c.Val.Sol() != c.Sol {
+				t.Fatalf("%s at the bound: reported %v, tree %v", r.name, c.Sol, c.Val.Sol())
+			}
+		}
+	}
+}
