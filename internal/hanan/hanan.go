@@ -15,6 +15,7 @@ package hanan
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"patlabor/internal/geom"
@@ -66,4 +67,30 @@ func (g *Grid) Locate(p geom.Point) (int, error) {
 // Dist returns the L1 distance between two grid nodes.
 func (g *Grid) Dist(a, b int) int64 {
 	return geom.Dist(g.Point(a), g.Point(b))
+}
+
+// CheckRange returns an error when the half-perimeter of the pins exceeds
+// MaxInt64/(4m), for m sinks. Below that bound every value an exact
+// algorithm on the Hanan grid forms fits in int64: a tree over m sinks has
+// at most 2m−1 sink and merge nodes, each reached by at most two wires no
+// longer than the half-perimeter HP, so no wirelength, delay or
+// intermediate sum exceeds (4m−2)·HP. The spans are taken in uint64,
+// because maxX−minX can itself overflow int64.
+func CheckRange(pins []geom.Point, m int) error {
+	if len(pins) == 0 {
+		return nil
+	}
+	lo, hi := pins[0], pins[0]
+	for _, p := range pins[1:] {
+		lo.X, hi.X = min(lo.X, p.X), max(hi.X, p.X)
+		lo.Y, hi.Y = min(lo.Y, p.Y), max(hi.Y, p.Y)
+	}
+	spanX := uint64(hi.X) - uint64(lo.X)
+	spanY := uint64(hi.Y) - uint64(lo.Y)
+	limit := uint64(math.MaxInt64) / uint64(4*max(m, 1))
+	if spanX > limit || spanY > limit-spanX {
+		return fmt.Errorf("hanan: pin spans %d×%d exceed half-perimeter %d, the int64-safe bound for %d sinks",
+			spanX, spanY, limit, m)
+	}
+	return nil
 }

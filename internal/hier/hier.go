@@ -19,9 +19,11 @@
 // tree: cluster trees are rooted at their port pin, so grafting merges
 // the root with the top tree's port node and every cluster-internal sink
 // s has delay p_i + d(port→s); the port's own sink delay p_i is covered
-// because d_i ≥ 0. The fold over clusters keeps a capped Pareto set of
-// partial combinations (cons-list choice payloads, so memory stays linear
-// in the live frontier) and only the final survivors are materialized as
+// because d_i ≥ 0. The fold over clusters is one pareto.Join per cluster,
+// with the port delay p_i as the walk's delay offset, capped to MaxSet:
+// Join visits only the Pareto-optimal picks, each from exactly one pair,
+// so only those get a cons-list choice cell (memory stays linear in the
+// live frontier), and only the final survivors are materialized as
 // trees.
 //
 // Cluster subproblems are independent, so they fan out over an
@@ -79,8 +81,9 @@ type Options struct {
 	ClusterSize int
 	// MaxSet caps the Pareto-set size carried per cluster, per
 	// combination step, and in the final frontier (0 = DefaultMaxSet).
-	// Combination cost is quadratic in set sizes; the cap trades frontier
-	// resolution for tractability, exactly like ks.Options.MaxSet.
+	// Every kept combination costs a choice cell and, at the end, a
+	// grafted tree; the cap trades frontier resolution for tractability,
+	// exactly like ks.Options.MaxSet.
 	MaxSet int
 	// Workers sizes the worker pool fanning the cluster subproblems of
 	// one net (<=0 = GOMAXPROCS). Results are byte-identical at any
@@ -281,38 +284,45 @@ type comboRef struct {
 func combine(ctx context.Context, topNet tree.Net, topPins []int, topItems []pareto.Item[*tree.Tree], ports []int, fronts [][]pareto.Item[*tree.Tree], cfg config) ([]pareto.Item[*tree.Tree], error) {
 	ev := tree.GetEvaluator()
 	defer tree.PutEvaluator(ev)
+	// The clusters' objective vectors, the walk's right operands, cluster
+	// ci's at ys[at[ci]:at[ci+1]]. A singleton cluster's port is its only
+	// pin: its one tree is empty.
+	var ys []pareto.Sol
+	at := make([]int, len(fronts)+1)
+	for ci, front := range fronts {
+		if front == nil {
+			ys = append(ys, pareto.Sol{})
+		}
+		ys = pareto.AppendSols(ys, front)
+		at[ci+1] = len(ys)
+	}
 	final := &pareto.Set[comboRef]{}
+	var accSols []pareto.Sol
+	var walk []pareto.Pair
 	for ti, top := range topItems {
 		// delays[k] is the top-tree path length from the source to sink k
 		// of topNet — cluster k-1's port delay p_{k-1}.
 		delays := ev.SinkDelaysInto(top.Val, topNet.Degree())
 		acc := []pareto.Item[*choice]{{Sol: pareto.Sol{W: top.Sol.W, D: 0}}}
 		for ci, front := range fronts {
-			// The fold is |acc|×|front| work per cluster and there are up
-			// to n/clusterSize clusters: honour cancellation per cluster.
+			// There are up to n/clusterSize clusters: honour cancellation
+			// per cluster.
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			p := delays[ci+1]
-			next := &pareto.Set[*choice]{}
-			if front == nil {
-				// Singleton cluster: its port is its only pin, so the pick
-				// is empty and only the delay floor rises to p.
-				for _, a := range acc {
-					next.Add(pareto.Sol{W: a.Sol.W, D: geom.Max64(a.Sol.D, p)}, a.Val)
+			// acc ⊕ (front + p): the cluster's delays start at its port,
+			// p below the source.
+			accSols = pareto.AppendSols(accSols[:0], acc)
+			walk = pareto.Join(walk[:0], accSols, ys[at[ci]:at[ci+1]], 0, 0, delays[ci+1])
+			next := make([]pareto.Item[*choice], len(walk))
+			for k, w := range walk {
+				pick := acc[w.A].Val
+				if front != nil {
+					pick = &choice{cluster: int32(ci), item: w.B, prev: pick}
 				}
-			} else {
-				for _, a := range acc {
-					for j, s := range front {
-						sol := pareto.Sol{
-							W: a.Sol.W + s.Sol.W,
-							D: geom.Max64(a.Sol.D, p+s.Sol.D),
-						}
-						next.Add(sol, &choice{cluster: int32(ci), item: int32(j), prev: a.Val})
-					}
-				}
+				next[k] = pareto.Item[*choice]{Sol: w.Sol, Val: pick}
 			}
-			acc = pareto.CapItems(next.Items(), cfg.maxSet)
+			acc = pareto.CapItems(next, cfg.maxSet)
 		}
 		for _, a := range acc {
 			final.Add(a.Sol, comboRef{top: ti, picks: a.Val})

@@ -3,7 +3,9 @@
 // of Kalpakis–Sherman. The pin set is split at a median pin on axes
 // alternating with depth; sub-problems small enough are solved exactly by
 // Pareto-DW; sub-frontiers are combined with the ⊕ operator, connecting
-// each far sub-source to the near source with a direct edge.
+// each far sub-source to the near source with a direct edge. The ⊕ is the
+// walk of internal/pareto (Join), so a combination costs O(|S₁|+|S₂|)
+// and builds trees only for the points it keeps.
 //
 // Theorem 4: Pareto-KS O(√(n/log n))-approximates every frontier point in
 // Õ(n²·|S|²) time. With lookup-table leaves of size λ the bound becomes
@@ -29,8 +31,9 @@ type Options struct {
 	// max(4, min(MaxLeaf, ⌈log2 n⌉+1)) as in the paper's |P| <= log n rule.
 	Leaf int
 	// MaxSet caps the Pareto set size carried per sub-problem (0 =
-	// unlimited). Combining is quadratic in set sizes; a cap keeps large
-	// instances tractable at a small loss of frontier resolution.
+	// unlimited). Combining is linear in set sizes, but every kept point
+	// is a cloned tree; a cap keeps large instances tractable at a small
+	// loss of frontier resolution.
 	MaxSet int
 	// Table answers leaves from lookup tables when they cover the leaf
 	// degree (Remark 1: LUT leaves turn the O(√(n/log n)) bound into
@@ -82,38 +85,58 @@ func route(ctx context.Context, net tree.Net, pins []int, leaf int, opt Options,
 		return nil, err
 	}
 	if len(pins) <= leaf {
-		sub := tree.Net{Pins: make([]geom.Point, len(pins))}
-		for i, p := range pins {
-			sub.Pins[i] = net.Pins[p]
-		}
-		var items []pareto.Item[*tree.Tree]
-		var err error
-		if opt.Table != nil {
-			var ok bool
-			items, ok, err = opt.Table.Query(sub)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				items = nil
-			}
-		}
-		if items == nil {
-			items, err = dw.FrontierContext(ctx, sub, dw.DefaultOptions())
-			if err != nil {
-				return nil, err
-			}
-		}
-		for _, it := range items {
-			if err := it.Val.RelabelPins(pins); err != nil {
-				return nil, err
-			}
-		}
-		return pareto.CapItems(items, opt.MaxSet), nil
+		return leafFrontier(ctx, net, pins, opt)
 	}
-	// Divide at the median pin of the alternating axis (the source always
-	// stays in the near half as its source; the far half is rooted at its
-	// pin closest to the source, per step 3 of the algorithm).
+	nearPins, farPins := divide(net, pins, depth)
+	s1, err := route(ctx, net, nearPins, leaf, opt, depth+1)
+	if err != nil {
+		return nil, err
+	}
+	s2, err := route(ctx, net, farPins, leaf, opt, depth+1)
+	if err != nil {
+		return nil, err
+	}
+	return join(ctx, s1, s2, geom.Dist(net.Pins[pins[0]], net.Pins[farPins[0]]), opt.MaxSet)
+}
+
+// leafFrontier solves a leaf sub-net exactly: from the table when it
+// covers the leaf, else by the DP.
+func leafFrontier(ctx context.Context, net tree.Net, pins []int, opt Options) ([]pareto.Item[*tree.Tree], error) {
+	sub := tree.Net{Pins: make([]geom.Point, len(pins))}
+	for i, p := range pins {
+		sub.Pins[i] = net.Pins[p]
+	}
+	var items []pareto.Item[*tree.Tree]
+	var err error
+	if opt.Table != nil {
+		var ok bool
+		items, ok, err = opt.Table.Query(sub)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			items = nil
+		}
+	}
+	if items == nil {
+		items, err = dw.FrontierContext(ctx, sub, dw.DefaultOptions())
+		if err != nil {
+			return nil, err
+		}
+	}
+	for _, it := range items {
+		if err := it.Val.RelabelPins(pins); err != nil {
+			return nil, err
+		}
+	}
+	return pareto.CapItems(items, opt.MaxSet), nil
+}
+
+// divide splits the sinks of the sub-net at the median pin of the axis
+// alternating with depth. The near half keeps the source (pins[0]); the
+// far half is rooted at its pin closest to the source, per step 3 of the
+// algorithm.
+func divide(net tree.Net, pins []int, depth int) (nearPins, farPins []int) {
 	src := pins[0]
 	sinks := append([]int(nil), pins[1:]...)
 	axis := depth % 2
@@ -151,43 +174,34 @@ func route(ctx context.Context, net tree.Net, pins []int, leaf int, opt Options,
 			g = p
 		}
 	}
-	farPins := []int{g}
+	farPins = []int{g}
 	for _, p := range farSinks {
 		if p != g {
 			farPins = append(farPins, p)
 		}
 	}
-	nearPins := append([]int{src}, nearSinks...)
+	nearPins = append([]int{src}, nearSinks...)
+	return nearPins, farPins
+}
 
-	s1, err := route(ctx, net, nearPins, leaf, opt, depth+1)
-	if err != nil {
-		return nil, err
-	}
-	s2, err := route(ctx, net, farPins, leaf, opt, depth+1)
-	if err != nil {
-		return nil, err
-	}
-	// Combine: T1 ∪ T2 plus the bridging edge src→g.
-	c := geom.Dist(net.Pins[src], net.Pins[g])
-	set := &pareto.Set[*tree.Tree]{}
-	for _, a := range s1 {
-		// |s1|×|s2| clone+graft work: honour cancellation between rows.
+// join combines the near half's frontier s1 with the far half's s2, whose
+// sub-source hangs c below the source on a direct edge: T1 ∪ T2 plus the
+// bridging edge has W = w1 + w2 + c and D = max(d1, c + d2), so the
+// frontier is the ⊕ walk of s1 and s2 with delay offset c, every W raised
+// by c. Only the walk's points are built as trees.
+func join(ctx context.Context, s1, s2 []pareto.Item[*tree.Tree], c int64, maxSet int) ([]pareto.Item[*tree.Tree], error) {
+	walk := pareto.Join(nil, pareto.AppendSols(nil, s1), pareto.AppendSols(nil, s2), 0, 0, c)
+	out := make([]pareto.Item[*tree.Tree], len(walk))
+	for k, w := range walk {
+		// Clone+graft work per point: honour cancellation between them.
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		for _, b := range s2 {
-			sol := pareto.Sol{
-				W: a.Sol.W + b.Sol.W + c,
-				D: geom.Max64(a.Sol.D, c+b.Sol.D),
-			}
-			if !pareto.Contains(set.Sols(), sol) {
-				t := a.Val.Clone()
-				t.Graft(b.Val, t.Root)
-				set.Add(sol, t)
-			}
-		}
+		t := s1[w.A].Val.Clone()
+		t.Graft(s2[w.B].Val, t.Root)
+		out[k] = pareto.Item[*tree.Tree]{Sol: pareto.Sol{W: w.W + c, D: w.D}, Val: t}
 	}
-	return pareto.CapItems(set.Items(), opt.MaxSet), nil
+	return pareto.CapItems(out, maxSet), nil
 }
 
 func axisDist(a, b geom.Point, axis int) int64 {

@@ -151,7 +151,8 @@ func TestLoadFileRejectsNonFlat(t *testing.T) {
 
 // TestCloseKeepsGeneratedDegrees proves Close releases only file-backed
 // blobs: after LoadFile then Close, the degrees generated in memory
-// still answer exactly as before.
+// still answer exactly as before, and a degree only the file covered is
+// no longer covered, so its queries miss instead of finding nothing.
 func TestCloseKeepsGeneratedDegrees(t *testing.T) {
 	src := diffTable(t, 4)
 	path := filepath.Join(t.TempDir(), "t.plut")
@@ -162,10 +163,17 @@ func TestCloseKeepsGeneratedDegrees(t *testing.T) {
 	if err := tab.LoadFile(path); err != nil {
 		t.Fatal(err)
 	}
+	if !tab.Covers(4) {
+		t.Fatal("degree 4 not covered after loading a file that covers it")
+	}
+	_, mapped := tab.LoadInfo()
 	if err := tab.Close(); err != nil {
 		t.Fatal(err)
 	}
 	compareTables(t, src, tab, []int{2, 3}, 30, 93)
+	if mapped > 0 && tab.Covers(4) {
+		t.Fatal("degree 4 still covered after Close detached the only blob covering it")
+	}
 }
 
 // TestShardGenerateMerge splits degree-5 generation across shards in

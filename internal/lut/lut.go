@@ -395,13 +395,6 @@ func (t *Table) MissingShards(degree int) (missing []int, shardCount int, ok boo
 	return missing, s.ShardCount, true
 }
 
-// evalItem pairs one topology's concrete objective vector with its index
-// into the entry, so frontier filtering can defer instantiation.
-type evalItem struct {
-	sol pareto.Sol
-	idx int32
-}
-
 // scratch holds the reusable per-query buffers: the canonical key, the
 // transformed gap-length vectors, the symbolic evaluation rows, and the
 // decoded node and parent arrays of the frontier winner being
@@ -410,7 +403,7 @@ type evalItem struct {
 type scratch struct {
 	key     []byte
 	h, v    []int64
-	evals   []evalItem
+	evals   []pareto.Item[int32] // each topology's (w, d) and its index in the entry
 	nodes   []param.RankNode
 	parents []int16
 }
@@ -450,13 +443,21 @@ func putScratch(sc *scratch) {
 //
 // The fast path never materializes dominated topologies: every stored
 // solution is evaluated symbolically on the net's gap lengths, and only
-// the Pareto frontier survivors are instantiated. Ties keep the earliest
-// stored topology, matching the materialize-then-filter reference
-// (pareto.FilterItems is stable).
+// the Pareto frontier survivors are instantiated. The evaluations are
+// filtered in place by pareto.FilterItems, which is stable, so ties keep
+// the earliest stored topology, as materialize-then-filter would.
+//
+// Nets whose sums could overflow int64 are an error, as in the DP: the
+// pins' half-perimeter must stay within hanan.CheckRange's bound for all
+// n−1 sinks, because in rank space every pin has a node of its own and a
+// stored topology may route through all of them.
 func (t *Table) Query(net tree.Net) ([]pareto.Item[*tree.Tree], bool, error) {
 	n := net.Degree()
 	if n < 2 {
 		return nil, false, nil
+	}
+	if err := hanan.CheckRange(net.Pins, n-1); err != nil {
+		return nil, false, err
 	}
 	r := hanan.RanksOf(net)
 	sc := scratchPool.Get().(*scratch)
@@ -509,17 +510,17 @@ func (t *Table) queryFlat(b *flatBlob, i int, r hanan.Ranks, tf hanan.Transform,
 			}
 		}
 		dOff += rows
-		evals = append(evals, evalItem{
-			sol: pareto.Sol{W: fe.wRow(s).Eval(hh, vv), D: d},
-			idx: int32(s),
+		evals = append(evals, pareto.Item[int32]{
+			Sol: pareto.Sol{W: fe.wRow(s).Eval(hh, vv), D: d},
+			Val: int32(s),
 		})
 	}
 	sc.evals = evals
 	t.evaluated.Add(int64(len(evals)))
-	winners := filterEvals(evals)
+	winners := pareto.FilterItems(evals)
 	items := make([]pareto.Item[*tree.Tree], len(winners))
 	for j, w := range winners {
-		topo, err := fe.decodeTopo(int(w.idx), sc.nodes, sc.parents)
+		topo, err := fe.decodeTopo(int(w.Val), sc.nodes, sc.parents)
 		if err != nil {
 			t.queryErrs.Add(1)
 			return nil, false, err
@@ -531,43 +532,11 @@ func (t *Table) queryFlat(b *flatBlob, i int, r hanan.Ranks, tf hanan.Transform,
 			return nil, false, fmt.Errorf("lut: instantiating pattern key %q: %w", sc.key, err)
 		}
 		tr.Compact()
-		items[j] = pareto.Item[*tree.Tree]{Sol: w.sol, Val: tr}
+		items[j] = pareto.Item[*tree.Tree]{Sol: w.Sol, Val: tr}
 	}
 	t.materialized.Add(int64(len(items)))
 	t.hits.Add(1)
 	return items, true, nil
-}
-
-// filterEvals Pareto-filters the evaluated points in place and returns the
-// frontier prefix in canonical order. Sorting by (W, D, idx) reproduces
-// pareto.FilterItems' stable order exactly: idx is the original append
-// order, so equal objective vectors keep the earliest stored topology.
-func filterEvals(evals []evalItem) []evalItem {
-	slices.SortFunc(evals, func(a, b evalItem) int {
-		if a.sol.W != b.sol.W {
-			if a.sol.W < b.sol.W {
-				return -1
-			}
-			return 1
-		}
-		if a.sol.D != b.sol.D {
-			if a.sol.D < b.sol.D {
-				return -1
-			}
-			return 1
-		}
-		return int(a.idx - b.idx)
-	})
-	k := 0
-	bestD := int64(1<<63 - 1)
-	for _, it := range evals {
-		if it.sol.D < bestD {
-			evals[k] = it
-			k++
-			bestD = it.sol.D
-		}
-	}
-	return evals[:k]
 }
 
 // Counters returns the cumulative Query cache statistics: hits (pattern
@@ -662,37 +631,44 @@ func (t *Table) LoadFlat(data []byte) error {
 	return nil
 }
 
-// attach publishes an opened blob behind the existing ones and merges its
-// degree coverage and statistics.
+// attach publishes an opened blob behind the existing ones.
 func (t *Table) attach(b *flatBlob) {
-	recs := parseFlatDegrees(b.deg)
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.attachLocked(b)
+	t.publishLocked()
+}
+
+// attachLocked appends blob b and folds its degree records into the
+// table's coverage and statistics; t.mu must be held.
+func (t *Table) attachLocked(b *flatBlob) {
 	t.blobs = append(t.blobs, b)
-	for _, rec := range recs {
+	for _, rec := range parseFlatDegrees(b.deg) {
 		t.mergeStatsLocked(rec.DegreeStats)
 		if rec.covered {
 			t.degrees[rec.Degree] = true
 		}
 	}
-	t.publishLocked()
 }
 
 // Close detaches and unmaps every memory-mapped blob. Blobs held in
 // ordinary memory — generated degrees, LoadFlat buffers, files read
-// without a mapping — stay attached and keep answering. Close must not
-// run concurrently with queries.
+// without a mapping — stay attached and keep answering. Coverage and
+// statistics are rebuilt from the blobs that stay, so a degree that only
+// a detached blob covered is no longer covered, and queries on it miss
+// and fall back to the DP. Close must not run concurrently with queries.
 func (t *Table) Close() error {
 	t.mu.Lock()
-	var mapped, kept []*flatBlob
-	for _, b := range t.blobs {
+	var mapped []*flatBlob
+	blobs := t.blobs
+	t.blobs, t.degrees, t.stats = nil, map[int]bool{}, map[int]DegreeStats{}
+	for _, b := range blobs {
 		if b.mapped {
 			mapped = append(mapped, b)
 		} else {
-			kept = append(kept, b)
+			t.attachLocked(b)
 		}
 	}
-	t.blobs = kept
 	// Publish the detached view before unmapping: a later (contract
 	// violating) query then at worst misses instead of touching unmapped
 	// memory through a stale snapshot.

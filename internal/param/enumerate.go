@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"patlabor/internal/dw"
 	"patlabor/internal/hanan"
 )
 
@@ -15,8 +16,9 @@ import (
 // one concrete assignment of the gap lengths survives. The result is what
 // a lookup table stores for the pattern.
 //
-// All three pruning lemmas are applied (they are safe, see internal/dw),
-// plus the Lemma-1 parameterised dominance check via Solution.Prunes.
+// It runs on the concrete DP's grid skeleton (dw.Skeleton) with all three
+// pruning lemmas applied (they are safe, see internal/dw), plus the
+// Lemma-1 parameterised dominance check via Solution.Prunes.
 func EnumeratePattern(p hanan.Pattern) ([]Topology, error) {
 	if !p.Valid() {
 		return nil, fmt.Errorf("param: invalid pattern %v", p)
@@ -63,16 +65,15 @@ type sent struct {
 // nFP probe assignments for cheap pruning pre-checks.
 const nFP = 2
 
+// enum is one symbolic DP over the n×n rank grid of a pattern. Its states
+// are arena index lists S[q][v], filtered by Lemma 1's parametric
+// dominance; the grid structure is the skeleton's.
 type enum struct {
-	p      hanan.Pattern
+	*dw.Skeleton
 	n      int
 	arena  []sent
-	keep   []bool
-	nodes  []int
-	m      int
 	sinkNd []int // rank node of sink slot s
 	rootNd int
-	bpos   []int        // boundary walk position per sink, -1 interior
 	probes [nFP][]int64 // probe gap vectors (dim 2n-2)
 	distV  map[[2]int]Vec
 	S      [][][]int32
@@ -80,90 +81,20 @@ type enum struct {
 
 func newEnum(p hanan.Pattern) *enum {
 	n := p.N
-	e := &enum{p: p, n: n, distV: map[[2]int]Vec{}}
-	// Sinks in x-rank order, skipping the source.
+	e := &enum{n: n, distV: map[[2]int]Vec{}}
+	// Sinks in x-rank order, skipping the source; rank node (i, j) has
+	// index j·n+i.
 	for i := 0; i < n; i++ {
+		nd := int(p.Perm[i])*n + i
 		if uint8(i) == p.Src {
-			e.rootNd = e.node(i, int(p.Perm[i]))
+			e.rootNd = nd
 			continue
 		}
-		e.sinkNd = append(e.sinkNd, e.node(i, int(p.Perm[i])))
+		e.sinkNd = append(e.sinkNd, nd)
 	}
-	e.m = len(e.sinkNd)
-	e.computeKeep()
-	e.computeBoundary()
+	e.Skeleton = dw.NewSkeleton(n, n, e.rootNd, e.sinkNd, dw.DefaultOptions())
 	e.buildProbes()
 	return e
-}
-
-func (e *enum) node(i, j int) int        { return j*e.n + i }
-func (e *enum) coords(nd int) (int, int) { return nd % e.n, nd / e.n }
-
-func (e *enum) computeKeep() {
-	n := e.n
-	e.keep = make([]bool, n*n)
-	type rp struct{ i, j int }
-	pins := make([]rp, n)
-	for i := 0; i < n; i++ {
-		pins[i] = rp{i, int(e.p.Perm[i])}
-	}
-	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			var ll, lr, ul, ur bool
-			for _, q := range pins {
-				if q.i <= i && q.j <= j {
-					ll = true
-				}
-				if q.i >= i && q.j <= j {
-					lr = true
-				}
-				if q.i <= i && q.j >= j {
-					ul = true
-				}
-				if q.i >= i && q.j >= j {
-					ur = true
-				}
-			}
-			nd := e.node(i, j)
-			e.keep[nd] = ll && lr && ul && ur
-			if e.keep[nd] {
-				e.nodes = append(e.nodes, nd)
-			}
-		}
-	}
-}
-
-func (e *enum) computeBoundary() {
-	n := e.n
-	pos := map[int]int{}
-	step := 0
-	add := func(i, j int) {
-		nd := e.node(i, j)
-		if _, ok := pos[nd]; !ok {
-			pos[nd] = step
-			step++
-		}
-	}
-	for j := 0; j < n; j++ {
-		add(0, j)
-	}
-	for i := 1; i < n; i++ {
-		add(i, n-1)
-	}
-	for j := n - 2; j >= 0; j-- {
-		add(n-1, j)
-	}
-	for i := n - 2; i >= 1; i-- {
-		add(i, 0)
-	}
-	e.bpos = make([]int, e.m)
-	for s, nd := range e.sinkNd {
-		if p, ok := pos[nd]; ok {
-			e.bpos[s] = p
-		} else {
-			e.bpos[s] = -1
-		}
-	}
 }
 
 // buildProbes fixes deterministic positive gap assignments used as cheap
@@ -239,39 +170,26 @@ func (e *enum) dist(a, b int) Vec {
 	if v, ok := e.distV[key]; ok {
 		return v
 	}
-	ai, aj := e.coords(a)
-	bi, bj := e.coords(b)
+	ai, aj := e.Coords(a)
+	bi, bj := e.Coords(b)
 	v := gapVec(e.n, RankNode{I: int8(ai), J: int8(aj)}, RankNode{I: int8(bi), J: int8(bj)})
 	e.distV[key] = v
 	return v
 }
 
 func (e *enum) run() []int32 {
-	if e.m == 0 {
+	if len(e.sinkNd) == 0 {
 		return nil
 	}
-	full := (1 << e.m) - 1
+	full := 1<<len(e.sinkNd) - 1
 	e.S = make([][][]int32, full+1)
 	nn := e.n * e.n
-
-	order := make([]int, 0, full)
-	for q := 1; q <= full; q++ {
-		order = append(order, q)
-	}
-	// Total order: popcount, then subset value — the values are distinct.
-	slices.SortFunc(order, func(x, y int) int {
-		if c := cmp.Compare(bits.OnesCount(uint(x)), bits.OnesCount(uint(y))); c != 0 {
-			return c
-		}
-		return cmp.Compare(x, y)
-	})
-
-	dim := 2 * (e.n - 1)
-	zero := make(Vec, dim)
-	for _, q := range order {
+	zero := make(Vec, 2*(e.n-1))
+	for q := 1; q != 0; q = e.NextSubset(q) {
 		Sq := make([][]int32, nn)
 		M := make([][]int32, nn)
-		if bits.OnesCount(uint(q)) == 1 {
+		inside := e.Inside(q)
+		if q&(q-1) == 0 {
 			s := bits.TrailingZeros(uint(q))
 			sol := Solution{W: zero, D: []Vec{zero}}
 			en := sent{sol: sol, kind: sBase, sink: int16(s)}
@@ -279,59 +197,18 @@ func (e *enum) run() []int32 {
 			e.arena = append(e.arena, en)
 			M[e.sinkNd[s]] = []int32{int32(len(e.arena) - 1)}
 		} else {
-			e.mergeCandidates(q, M)
+			e.mergeCandidates(q, inside, M)
 		}
-		e.extend(q, M, Sq)
+		e.extend(q, inside, M, Sq)
 		e.S[q] = Sq
 	}
 	return e.S[full][e.rootNd]
 }
 
-func (e *enum) bbox(q int) (ilo, jlo, ihi, jhi int) {
-	first := true
-	for s := 0; s < e.m; s++ {
-		if q&(1<<s) == 0 {
-			continue
-		}
-		i, j := e.coords(e.sinkNd[s])
-		if first {
-			ilo, jlo, ihi, jhi = i, j, i, j
-			first = false
-			continue
-		}
-		if i < ilo {
-			ilo = i
-		}
-		if i > ihi {
-			ihi = i
-		}
-		if j < jlo {
-			jlo = j
-		}
-		if j > jhi {
-			jhi = j
-		}
-	}
-	return
-}
-
-func (e *enum) insideNodes(q int) []int {
-	ilo, jlo, ihi, jhi := e.bbox(q)
-	var out []int
-	for j := jlo; j <= jhi; j++ {
-		for i := ilo; i <= ihi; i++ {
-			nd := e.node(i, j)
-			if e.keep[nd] {
-				out = append(out, nd)
-			}
-		}
-	}
-	return out
-}
-
-func (e *enum) mergeCandidates(q int, M [][]int32) {
-	splits := e.splits(q)
-	inside := e.insideNodes(q)
+// mergeCandidates fills M[v], the Lemma-1 filter of S_{v,q1} ⊕ S_{v,q\q1}
+// over the skeleton's splits of q, for every inside node v.
+func (e *enum) mergeCandidates(q int, inside []int, M [][]int32) {
+	splits := e.Splits(q)
 	var cand []sent
 	for _, v := range inside {
 		cand = cand[:0]
@@ -352,67 +229,10 @@ func (e *enum) mergeCandidates(q int, M [][]int32) {
 	}
 }
 
-func (e *enum) splits(q int) []int {
-	low := q & -q
-	if e.allOnBoundary(q) {
-		return e.boundarySplits(q, low)
-	}
-	var out []int
-	for q1 := (q - 1) & q; q1 > 0; q1 = (q1 - 1) & q {
-		if q1&low != 0 {
-			out = append(out, q1)
-		}
-	}
-	return out
-}
-
-func (e *enum) allOnBoundary(q int) bool {
-	for s := 0; s < e.m; s++ {
-		if q&(1<<s) != 0 && e.bpos[s] < 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func (e *enum) boundarySplits(q, low int) []int {
-	type member struct{ s, pos int }
-	var ms []member
-	for s := 0; s < e.m; s++ {
-		if q&(1<<s) != 0 {
-			ms = append(ms, member{s, e.bpos[s]})
-		}
-	}
-	// Total order: boundary position, then sink slot (positions are
-	// distinct for distinct pins; the slot tie-break makes it explicit).
-	slices.SortFunc(ms, func(a, b member) int {
-		if c := cmp.Compare(a.pos, b.pos); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.s, b.s)
-	})
-	k := len(ms)
-	seen := map[int]bool{}
-	var out []int
-	for start := 0; start < k; start++ {
-		mask := 0
-		for l := 1; l < k; l++ {
-			mask |= 1 << ms[(start+l-1)%k].s
-			q1 := mask
-			if q1&low == 0 {
-				q1 = q &^ q1
-			}
-			if !seen[q1] {
-				seen[q1] = true
-				out = append(out, q1)
-			}
-		}
-	}
-	return out
-}
-
-func (e *enum) extend(q int, M, Sq [][]int32) {
-	inside := e.insideNodes(q)
+// extend fills Sq[v], the Lemma-1 filter of M_{u,q} + dist(u, v) over the
+// inside nodes u, for every inside node v, and derives the outside nodes'
+// states by Lemma 3 projection.
+func (e *enum) extend(q int, inside []int, M, Sq [][]int32) {
 	var srcs []int
 	for _, u := range inside {
 		if len(M[u]) > 0 {
@@ -440,14 +260,8 @@ func (e *enum) extend(q int, M, Sq [][]int32) {
 		Sq[v] = e.filterPush(cand)
 	}
 	// Lemma 3: outside nodes by projection.
-	ilo, jlo, ihi, jhi := e.bbox(q)
-	for _, v := range e.nodes {
-		i, j := e.coords(v)
-		if i >= ilo && i <= ihi && j >= jlo && j <= jhi {
-			continue
-		}
-		ci, cj := clampInt(i, ilo, ihi), clampInt(j, jlo, jhi)
-		u := e.node(ci, cj)
+	for _, pr := range e.Outside(q) {
+		u, v := pr.Target, pr.Node
 		g := e.dist(u, v)
 		src := Sq[u]
 		der := make([]int32, 0, len(src))
@@ -464,16 +278,6 @@ func (e *enum) extend(q int, M, Sq [][]int32) {
 		}
 		Sq[v] = der
 	}
-}
-
-func clampInt(x, lo, hi int) int {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }
 
 // filterPush removes candidates pruned by another candidate (Lemma-1
@@ -523,7 +327,7 @@ func (e *enum) filterPush(cand []sent) []int32 {
 // reconstruct rebuilds the topology of final entry idx, rooted at the
 // source rank node.
 func (e *enum) reconstruct(idx int32) Topology {
-	ri, rj := e.coords(e.rootNd)
+	ri, rj := e.Coords(e.rootNd)
 	t := Topology{
 		Nodes:  []RankNode{{I: int8(ri), J: int8(rj), Sink: -1}},
 		Parent: []int16{-1},
@@ -537,7 +341,7 @@ func (e *enum) emit(idx int32, v int, atNode int16, t *Topology) {
 	switch en.kind {
 	case sBase:
 		nd := e.sinkNd[en.sink]
-		i, j := e.coords(nd)
+		i, j := e.Coords(nd)
 		if t.Nodes[atNode].I == int8(i) && t.Nodes[atNode].J == int8(j) && t.Nodes[atNode].Sink < 0 && atNode != 0 {
 			t.Nodes[atNode].Sink = int8(en.sink)
 			return
@@ -550,7 +354,7 @@ func (e *enum) emit(idx int32, v int, atNode int16, t *Topology) {
 			e.emit(en.a, u, atNode, t)
 			return
 		}
-		i, j := e.coords(u)
+		i, j := e.Coords(u)
 		t.Nodes = append(t.Nodes, RankNode{I: int8(i), J: int8(j), Sink: -1})
 		t.Parent = append(t.Parent, atNode)
 		e.emit(en.a, u, int16(len(t.Nodes)-1), t)

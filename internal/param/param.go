@@ -13,6 +13,13 @@
 // componentwise dominated by some row of D2 — both conditions imply the
 // first-order formula (2) for all l >= 0, so pruning never removes a
 // topology that is uniquely optimal for some concrete instance.
+//
+// EnumeratePattern, the symbolic Pareto-DW, runs on the same grid
+// skeleton as the concrete DP (dw.Skeleton: the pruning lemmas, the
+// subset order and the splits) and differs from it only in its states:
+// symbolic solutions, filtered by Lemma 1's parametric dominance. That
+// dominance is a partial order, so no sort-and-scan or merge of
+// internal/pareto applies to it, and filterPush compares pairwise.
 package param
 
 import (

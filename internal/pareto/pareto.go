@@ -1,8 +1,16 @@
 // Package pareto implements the exact bicriterion solution algebra used by
 // every algorithm in the library: solution vectors (w,d), Pareto dominance
-// and filtering, the shift (S+x) and combine (S⊕S') operators of the
-// Pareto-DW recurrence, and quality indicators (hypervolume, coverage)
-// used by the experiment harness.
+// and filtering, and quality indicators (hypervolume, coverage) used by
+// the experiment harness.
+//
+// It also holds the one Pareto kernel of the library (kernel.go): the ⊕
+// walk Join, which joins two canonical frontiers at a common root, and
+// the two-way merge Union, which folds one frontier, extended by a wire,
+// into another (the S+x operator of the Pareto-DW recurrence). Both work
+// on index-carrying Pairs with the tie order (W, D, A, B) and never sort.
+// The concrete DP (internal/dw), the hierarchical stitch (internal/hier)
+// and Pareto-KS (internal/ks) all call them; FilterItems is the one
+// in-place sort-and-scan filter for payload-carrying items.
 //
 // Both objectives are minimised. All values are exact int64; dominance is
 // exact with no tolerances.
@@ -30,28 +38,14 @@ func (s Sol) Dominates(t Sol) bool { return s.W <= t.W && s.D <= t.D }
 // StrictlyDominates reports whether s dominates t and s != t.
 func (s Sol) StrictlyDominates(t Sol) bool { return s.Dominates(t) && s != t }
 
-// Less orders solutions lexicographically by (W, D). It is the canonical
-// order of a filtered Pareto set.
-func (s Sol) Less(t Sol) bool {
-	if s.W != t.W {
-		return s.W < t.W
-	}
-	return s.D < t.D
-}
-
-// Compare is the three-way form of Less: a total order on solution
-// vectors, lexicographic by (W, D). It is the comparator every canonical
-// sort in the library uses.
+// Compare is a total order on solution vectors, lexicographic by (W, D):
+// the canonical order of a filtered Pareto set, and the comparator every
+// canonical sort in the library uses.
 func (s Sol) Compare(t Sol) int {
 	if c := cmp.Compare(s.W, t.W); c != 0 {
 		return c
 	}
 	return cmp.Compare(s.D, t.D)
-}
-
-// SortSols sorts sols in place in canonical (W asc, D asc) order.
-func SortSols(sols []Sol) {
-	slices.SortFunc(sols, Sol.Compare)
 }
 
 // Filter returns the Pareto frontier of sols: all solutions not strictly
@@ -63,7 +57,7 @@ func Filter(sols []Sol) []Sol {
 		return nil
 	}
 	cp := append([]Sol(nil), sols...)
-	SortSols(cp)
+	slices.SortFunc(cp, Sol.Compare)
 	out := cp[:0]
 	bestD := int64(1<<63 - 1)
 	for _, s := range cp {
@@ -84,42 +78,6 @@ func IsFrontier(sols []Sol) bool {
 		}
 	}
 	return true
-}
-
-// Shift returns {(w+x, d+x) | (w,d) in s}: the objective change from
-// extending every tree in s by a wire of length x between its root and a
-// new root (the S+x operator of the Pareto-DW recurrence).
-func Shift(s []Sol, x int64) []Sol {
-	out := make([]Sol, len(s))
-	for i, v := range s {
-		out[i] = Sol{W: v.W + x, D: v.D + x}
-	}
-	return out
-}
-
-// Combine returns the Pareto filter of
-// {(w1+w2, max(d1,d2)) | s1 in a, s2 in b}: the objective change from
-// joining two subtrees at a common root (the S⊕S' operator).
-func Combine(a, b []Sol) []Sol {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	prod := make([]Sol, 0, len(a)*len(b))
-	for _, s1 := range a {
-		for _, s2 := range b {
-			prod = append(prod, Sol{W: s1.W + s2.W, D: max64(s1.D, s2.D)})
-		}
-	}
-	return Filter(prod)
-}
-
-// Merge returns the Pareto filter of the union of the given sets.
-func Merge(sets ...[]Sol) []Sol {
-	var all []Sol
-	for _, s := range sets {
-		all = append(all, s...)
-	}
-	return Filter(all)
 }
 
 // Contains reports whether the frontier (any solution set) contains a
@@ -221,11 +179,4 @@ func ApproxRatio(found, truth []Sol) float64 {
 		}
 	}
 	return worst
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -2,6 +2,7 @@ package pareto
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -91,63 +92,66 @@ func TestFilterProperties(t *testing.T) {
 	}
 }
 
+// TestShift checks the S+x operator, which is Union with an empty first
+// operand: every entry of y gains x in both objectives and keeps its pair.
 func TestShift(t *testing.T) {
-	in := []Sol{{1, 2}, {3, 4}}
-	out := Shift(in, 10)
-	if out[0] != (Sol{11, 12}) || out[1] != (Sol{13, 14}) {
-		t.Fatalf("Shift = %v", out)
+	in := []Pair{{Sol: Sol{1, 2}, A: 0}, {Sol: Sol{3, 1}, A: 1}}
+	out := Union(nil, nil, in, 10)
+	want := []Pair{{Sol: Sol{11, 12}, A: 0}, {Sol: Sol{13, 11}, A: 1}}
+	if !slices.Equal(out, want) {
+		t.Fatalf("Union(nil, y, 10) = %v, want %v", out, want)
 	}
-	if in[0] != (Sol{1, 2}) {
-		t.Fatal("Shift modified its input")
+	if in[0].Sol != (Sol{1, 2}) {
+		t.Fatal("Union modified its input")
 	}
 }
 
 func TestCombine(t *testing.T) {
 	a := []Sol{{1, 5}, {2, 3}}
 	b := []Sol{{4, 1}}
-	got := Combine(a, b)
-	// Products: (5, 5), (6, 3). Both on the frontier.
-	want := []Sol{{5, 5}, {6, 3}}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("Combine = %v, want %v", got, want)
+	got := Join(nil, a, b, 0, 0, 0)
+	// Products: (5, 5) from (0, 0) and (6, 3) from (1, 0). Both on the
+	// frontier.
+	want := []Pair{{Sol: Sol{5, 5}, A: 0, B: 0}, {Sol: Sol{6, 3}, A: 1, B: 0}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Join = %v, want %v", got, want)
 	}
-	if Combine(nil, b) != nil || Combine(a, nil) != nil {
-		t.Fatal("Combine with empty operand must be empty")
+	if Join(nil, nil, b, 0, 0, 0) != nil || Join(nil, a, nil, 0, 0, 0) != nil {
+		t.Fatal("Join with empty operand must be empty")
 	}
 }
 
+// TestCombineCommutes checks that ⊕ commutes: swapping the operands yields
+// the same frontier with every pair swapped.
 func TestCombineCommutes(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 100; trial++ {
 		a := randFront(rng, 1+rng.Intn(5))
 		b := randFront(rng, 1+rng.Intn(5))
-		ab, ba := Combine(a, b), Combine(b, a)
+		ab, ba := Join(nil, a, b, 0, 0, 0), Join(nil, b, a, 0, 0, 0)
 		if len(ab) != len(ba) {
-			t.Fatalf("Combine not commutative: %v vs %v", ab, ba)
+			t.Fatalf("Join not commutative: %v vs %v", ab, ba)
 		}
 		for i := range ab {
-			if ab[i] != ba[i] {
-				t.Fatalf("Combine not commutative: %v vs %v", ab, ba)
+			if ab[i].Sol != ba[i].Sol || ab[i].A != ba[i].B || ab[i].B != ba[i].A {
+				t.Fatalf("Join not commutative: %v vs %v", ab, ba)
 			}
 		}
 	}
 }
 
+// TestCombineAssociative checks that ⊕ associates: (a ⊕ b) ⊕ c and
+// a ⊕ (b ⊕ c) are the same frontier.
 func TestCombineAssociative(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 50; trial++ {
 		a := randFront(rng, 1+rng.Intn(4))
 		b := randFront(rng, 1+rng.Intn(4))
 		c := randFront(rng, 1+rng.Intn(4))
-		l := Combine(Combine(a, b), c)
-		r := Combine(a, Combine(b, c))
-		if len(l) != len(r) {
-			t.Fatalf("Combine not associative: %v vs %v", l, r)
-		}
-		for i := range l {
-			if l[i] != r[i] {
-				t.Fatalf("Combine not associative: %v vs %v", l, r)
-			}
+		l := Join(nil, pairSols(Join(nil, a, b, 0, 0, 0)), c, 0, 0, 0)
+		r := Join(nil, a, pairSols(Join(nil, b, c, 0, 0, 0)), 0, 0, 0)
+		if !slices.Equal(pairSols(l), pairSols(r)) {
+			t.Fatalf("Join not associative: %v vs %v", l, r)
 		}
 	}
 }
@@ -161,17 +165,12 @@ func randFront(rng *rand.Rand, k int) []Sol {
 }
 
 func TestMerge(t *testing.T) {
-	a := []Sol{{1, 9}, {5, 5}}
-	b := []Sol{{2, 7}, {5, 6}}
-	got := Merge(a, b)
+	a := []Pair{{Sol: Sol{1, 9}}, {Sol: Sol{5, 5}}}
+	b := []Pair{{Sol: Sol{2, 7}}, {Sol: Sol{5, 6}}}
+	got := pairSols(Union(nil, a, b, 0))
 	want := []Sol{{1, 9}, {2, 7}, {5, 5}}
-	if len(got) != len(want) {
-		t.Fatalf("Merge = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Merge = %v, want %v", got, want)
-		}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Union = %v, want %v", got, want)
 	}
 }
 

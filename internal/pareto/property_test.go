@@ -75,23 +75,17 @@ func TestFilterPropertiesRandom(t *testing.T) {
 	}
 }
 
-// TestMergeCommutative checks Merge is order-insensitive: merging the
-// same sets in any order yields the identical canonical frontier.
+// TestMergeCommutative checks that folding the same frontiers with Union
+// in any order yields the identical canonical frontier.
 func TestMergeCommutative(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 100; trial++ {
-		mk := func() []Sol {
-			xs := make([]Sol, rng.Intn(10))
-			for i := range xs {
-				xs[i] = Sol{W: rng.Int63n(30), D: rng.Int63n(30)}
-			}
-			return xs
-		}
+		mk := func() []Pair { return toPairs(randFront(rng, rng.Intn(10)), 0) }
 		a, b, c := mk(), mk(), mk()
-		abc := Merge(a, b, c)
-		cba := Merge(c, b, a)
-		if !reflect.DeepEqual(abc, cba) {
-			t.Fatalf("trial %d: Merge order-sensitive: %v != %v", trial, abc, cba)
+		abc := Union(nil, Union(nil, a, b, 0), c, 0)
+		cba := Union(nil, Union(nil, c, b, 0), a, 0)
+		if !reflect.DeepEqual(pairSols(abc), pairSols(cba)) {
+			t.Fatalf("trial %d: Union order-sensitive: %v != %v", trial, abc, cba)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package pareto
 
 import (
+	"math"
 	"slices"
 	"sort"
 )
@@ -13,41 +14,29 @@ type Item[T any] struct {
 	Val T
 }
 
-// FilterItems returns the Pareto-optimal items in canonical order. When
-// several items share an identical objective vector, the first in the
-// (stable) sorted order is kept.
+// FilterItems filters items in place to their Pareto frontier and returns
+// it as a prefix of items, in canonical order (W strictly increasing, D
+// strictly decreasing). The sort is stable, so of items with equal
+// objective vectors the first in input order survives. The items behind
+// the returned prefix are left in an unspecified order.
 func FilterItems[T any](items []Item[T]) []Item[T] {
-	if len(items) == 0 {
-		return nil
-	}
-	cp := append([]Item[T](nil), items...)
-	// Stable on the total (W, D) order: items with identical objective
-	// vectors keep their input order, so the first stays the winner.
-	slices.SortStableFunc(cp, func(a, b Item[T]) int { return a.Sol.Compare(b.Sol) })
-	out := cp[:0]
-	bestD := int64(1<<63 - 1)
-	for _, it := range cp {
+	slices.SortStableFunc(items, func(a, b Item[T]) int { return a.Sol.Compare(b.Sol) })
+	k := 0
+	bestD := int64(math.MaxInt64)
+	for _, it := range items {
 		if it.Sol.D < bestD {
-			out = append(out, it)
+			items[k] = it
+			k++
 			bestD = it.Sol.D
 		}
 	}
-	return append([]Item[T](nil), out...)
+	return items[:k]
 }
 
 // Set maintains a Pareto frontier of payload-carrying solutions
 // incrementally. The zero value is an empty set ready for use.
 type Set[T any] struct {
 	items []Item[T] // invariant: canonical frontier order
-}
-
-// NewSet returns a Set seeded with the given items.
-func NewSet[T any](items ...Item[T]) *Set[T] {
-	s := &Set[T]{}
-	for _, it := range items {
-		s.Add(it.Sol, it.Val)
-	}
-	return s
 }
 
 // Len returns the number of Pareto-optimal items currently held.
@@ -57,13 +46,13 @@ func (s *Set[T]) Len() int { return len(s.items) }
 // not be modified.
 func (s *Set[T]) Items() []Item[T] { return s.items }
 
-// Sols returns the objective vectors of the frontier in canonical order.
-func (s *Set[T]) Sols() []Sol {
-	out := make([]Sol, len(s.items))
-	for i, it := range s.items {
-		out[i] = it.Sol
+// AppendSols appends the objective vectors of items to dst, in order: the
+// operand form of Join.
+func AppendSols[T any](dst []Sol, items []Item[T]) []Sol {
+	for _, it := range items {
+		dst = append(dst, it.Sol)
 	}
-	return out
+	return dst
 }
 
 // Add inserts (sol, val) unless it is dominated by a held item; items that
@@ -94,15 +83,6 @@ func (s *Set[T]) Add(sol Sol, val T) bool {
 	copy(s.items[i+1:], s.items[i:])
 	s.items[i] = Item[T]{Sol: sol, Val: val}
 	return true
-}
-
-// MaxDelayItem returns the held item with the largest delay (the leftmost
-// frontier point) and true, or a zero item and false when the set is empty.
-func (s *Set[T]) MaxDelayItem() (Item[T], bool) {
-	if len(s.items) == 0 {
-		return Item[T]{}, false
-	}
-	return s.items[0], true
 }
 
 // CapItems keeps at most k items of a frontier in canonical order,

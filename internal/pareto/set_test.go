@@ -26,7 +26,7 @@ func TestSetAddBasic(t *testing.T) {
 	if !s.Add(Sol{4, 4}, "d") {
 		t.Fatal("dominating add rejected")
 	}
-	sols := s.Sols()
+	sols := AppendSols(nil, s.Items())
 	want := []Sol{{3, 7}, {4, 4}, {7, 3}}
 	if len(sols) != len(want) {
 		t.Fatalf("Sols = %v, want %v", sols, want)
@@ -65,7 +65,7 @@ func TestSetMatchesFilter(t *testing.T) {
 			s.Add(sol, i)
 		}
 		want := Filter(all)
-		got := s.Sols()
+		got := AppendSols(nil, s.Items())
 		if len(got) != len(want) {
 			t.Fatalf("set %v != filter %v (input %v)", got, want, all)
 		}
@@ -77,19 +77,6 @@ func TestSetMatchesFilter(t *testing.T) {
 		if !IsFrontier(got) {
 			t.Fatalf("set invariant broken: %v", got)
 		}
-	}
-}
-
-func TestSetMaxDelayItem(t *testing.T) {
-	s := &Set[string]{}
-	if _, ok := s.MaxDelayItem(); ok {
-		t.Fatal("empty set returned an item")
-	}
-	s.Add(Sol{3, 9}, "slow")
-	s.Add(Sol{9, 3}, "fast")
-	it, ok := s.MaxDelayItem()
-	if !ok || it.Val != "slow" || it.Sol.D != 9 {
-		t.Fatalf("MaxDelayItem = %+v, %v", it, ok)
 	}
 }
 

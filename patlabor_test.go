@@ -343,6 +343,14 @@ func TestRangeOverflowIsAnError(t *testing.T) {
 	if cands, err := ExactFrontier(corners); err == nil {
 		t.Fatalf("ExactFrontier on ±2^62 corners: %v, want an error", cands)
 	}
+	// Degrees 4 and 5 are answered by the lookup table, whose gap sums
+	// overflow just like the DP's.
+	centred := NewNet(Pt(0, 0), Pt(-big, -big), Pt(big, -big), Pt(-big, big), Pt(big, big))
+	for _, net := range []Net{corners, centred} {
+		if cands, err := Route(net, Options{}); err == nil {
+			t.Fatalf("Route on degree-%d ±2^62 corners: %v, want an error", net.Degree(), cands)
+		}
+	}
 	rng := rand.New(rand.NewSource(62))
 	pins := make([]Point, 6)
 	for i := range pins {
