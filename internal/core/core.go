@@ -74,6 +74,30 @@ type Options struct {
 // DefaultLambda is the paper's λ = 9.
 const DefaultLambda = 9
 
+// ResolveLambda maps 0 to DefaultLambda and rejects a λ outside
+// [2, dw.MaxExactDegree]: every n ≤ λ must be solvable exactly, and a
+// window of λ pins needs a sink besides the source.
+func ResolveLambda(lambda int) (int, error) {
+	if lambda == 0 {
+		lambda = DefaultLambda
+	}
+	if lambda < 2 || lambda > dw.MaxExactDegree {
+		return 0, fmt.Errorf("core: lambda %d out of range [2,%d]", lambda, dw.MaxExactDegree)
+	}
+	return lambda, nil
+}
+
+// NetCanonical reports whether a whole net of degree n is memoized (and
+// deduplicated) under its canonical symmetry key rather than its
+// translation key: iff small answers it (n ≤ λ) from the table, whose
+// query is equivariant under all 8 plane symmetries. Larger nets run the
+// local search and uncovered small ones the DP, and both only
+// reproduce their trees exactly under translation. lambda must be
+// resolved; a nil table means no coverage.
+func NetCanonical(n, lambda int, table *lut.Table) bool {
+	return n <= lambda && table != nil && table.Covers(n)
+}
+
 // RouteContext computes a Pareto set of routing trees for the net: the
 // exact frontier for degree ≤ λ, a locally searched approximation
 // otherwise. Items are in canonical frontier order. The context is checked
@@ -85,12 +109,9 @@ func RouteContext(ctx context.Context, net tree.Net, opts Options) ([]pareto.Ite
 	if n == 0 {
 		return nil, fmt.Errorf("core: empty net")
 	}
-	lambda := opts.Lambda
-	if lambda == 0 {
-		lambda = DefaultLambda
-	}
-	if lambda < 2 || lambda > dw.MaxExactDegree {
-		return nil, fmt.Errorf("core: lambda %d out of range [2,%d]", lambda, dw.MaxExactDegree)
+	lambda, err := ResolveLambda(opts.Lambda)
+	if err != nil {
+		return nil, err
 	}
 	if n <= lambda {
 		return small(ctx, net, opts)
@@ -146,7 +167,7 @@ func localSearch(ctx context.Context, net tree.Net, lambda int, opts Options) ([
 	if cache == nil && !opts.NoCache {
 		cache = NewSubCache(0)
 	}
-	var ks keyScratch
+	var key hanan.Key
 	t0 := rsmt.Tree(net)
 	set := &pareto.Set[*tree.Tree]{}
 	set.Add(ev.Sol(t0), t0)
@@ -199,7 +220,7 @@ func localSearch(ctx context.Context, net tree.Net, lambda int, opts Options) ([
 		if len(sel) == 0 {
 			break
 		}
-		subFront, err := subFrontier(ctx, net, sel, opts, cache, &ks)
+		subFront, err := subFrontier(ctx, net, sel, opts, cache, &key)
 		if err != nil {
 			return nil, err
 		}
@@ -275,15 +296,14 @@ func chunkSelection(n, k, round int) []int {
 
 // subFrontier computes the exact Pareto frontier of source + selected
 // pins, with trees relabelled into the parent net's pin frame.
-func subFrontier(ctx context.Context, net tree.Net, sel []int, opts Options, cache *SubCache, ks *keyScratch) ([]pareto.Item[*tree.Tree], error) {
-	return windowFrontier(ctx, net, append([]int{0}, sel...), opts, cache, ks)
+func subFrontier(ctx context.Context, net tree.Net, sel []int, opts Options, cache *SubCache, key *hanan.Key) ([]pareto.Item[*tree.Tree], error) {
+	return windowFrontier(ctx, net, append([]int{0}, sel...), opts, cache, key)
 }
 
-// windowScratch pools key-construction buffers for WindowFrontier callers
-// that have no per-search keyScratch of their own (the hierarchical
-// router's cluster fan-out runs thousands of windows per net across
-// workers).
-var windowScratch = sync.Pool{New: func() any { return new(keyScratch) }}
+// windowKeys pools memo keys for WindowFrontier callers that have no
+// per-search key of their own (the hierarchical router's cluster fan-out
+// runs thousands of windows per net across workers).
+var windowKeys = sync.Pool{New: func() any { return new(hanan.Key) }}
 
 // WindowFrontier computes the exact Pareto frontier of the window given by
 // parent-net pin indices — pins[0] is the window's source — with trees
@@ -306,98 +326,54 @@ func WindowFrontier(ctx context.Context, net tree.Net, pins []int, opts Options)
 	if opts.NoCache {
 		cache = nil
 	}
-	ks := windowScratch.Get().(*keyScratch)
-	defer windowScratch.Put(ks)
-	return windowFrontier(ctx, net, pins, opts, cache, ks)
+	key := windowKeys.Get().(*hanan.Key)
+	defer windowKeys.Put(key)
+	return windowFrontier(ctx, net, pins, opts, cache, key)
 }
 
 // windowFrontier computes the exact Pareto frontier of the window of
 // parent-net pin indices pins (pins[0] is the window source), with trees
 // relabelled into the parent net's pin frame. With a cache, the window is
-// answered from the memo when an equivalent window (same canonical form
-// for table-covered degrees, same translation class otherwise) was solved
-// before; see SubCache for why each key level is byte-exact.
-func windowFrontier(ctx context.Context, net tree.Net, pins []int, opts Options, cache *SubCache, ks *keyScratch) ([]pareto.Item[*tree.Tree], error) {
+// answered from the memo when an equivalent window was solved before. A
+// window is keyed canonically iff the table covers its degree: small
+// answers every window exactly, so the table's symmetry equivariance is
+// the only condition (see SubCache).
+func windowFrontier(ctx context.Context, net tree.Net, pins []int, opts Options, cache *SubCache, key *hanan.Key) ([]pareto.Item[*tree.Tree], error) {
 	sub := tree.Net{Pins: make([]geom.Point, len(pins))}
 	for i, p := range pins {
 		sub.Pins[i] = net.Pins[p]
 	}
-	if cache == nil {
-		items, err := small(ctx, sub, opts)
-		if err != nil {
+	var items []pareto.Item[*tree.Tree]
+	hit := false
+	if cache != nil {
+		table := opts.Table
+		if table == nil {
+			table = lut.Default()
+		}
+		key.Set(sub, table.Covers(sub.Degree()))
+		if opts.Trace != nil {
+			opts.Trace.Windows = append(opts.Trace.Windows, TraceWindow{
+				Key:  string(key.Bytes()),
+				Pins: append([]int(nil), pins...),
+			})
+		}
+		items, _, hit = cache.Get(key)
+	}
+	if !hit {
+		var err error
+		if items, err = small(ctx, sub, opts); err != nil {
 			return nil, err
 		}
-		for _, it := range items {
-			if err := it.Val.RelabelPins(pins); err != nil {
-				return nil, err
-			}
+		if cache != nil {
+			cache.Put(key, items, nil)
 		}
-		return items, nil
 	}
-	table := opts.Table
-	if table == nil {
-		table = lut.Default()
-	}
-	canonical := table.Covers(sub.Degree())
-	r, tf := ks.appendWindowKey(sub, canonical)
-	if opts.Trace != nil {
-		opts.Trace.Windows = append(opts.Trace.Windows, TraceWindow{
-			Key:  string(ks.buf),
-			Pins: append([]int(nil), pins...),
-		})
-	}
-	// Resolve the owning shard once: the lookup, the hit/miss counters and
-	// the store below all touch only this shard, so concurrent workers on
-	// different windows almost never share a lock or a counter cache line.
-	shard := cache.shardOfBytes(ks.buf)
-	if e := shard.lookup(ks.buf); e != nil {
-		iso, err := windowIsometry(e, sub, r, tf)
-		if err == nil {
-			shard.hits.Add(1)
-			out := make([]pareto.Item[*tree.Tree], len(e.items))
-			for i, it := range e.items {
-				v := iso.ApplyTree(it.Val)
-				if rerr := v.RelabelPins(pins); rerr != nil {
-					return nil, rerr
-				}
-				out[i] = pareto.Item[*tree.Tree]{Sol: it.Sol, Val: v}
-			}
-			return out, nil
-		}
-		// A matching key whose isometry cannot be derived would be a key
-		// collision; recompute rather than trust the entry.
-	}
-	shard.misses.Add(1)
-	items, err := small(ctx, sub, opts)
-	if err != nil {
-		return nil, err
-	}
-	stored := make([]pareto.Item[*tree.Tree], len(items))
-	for i, it := range items {
-		stored[i] = pareto.Item[*tree.Tree]{Sol: it.Sol, Val: it.Val.Clone()}
-	}
-	shard.store(ks.buf, &subEntry{
-		canonical: canonical,
-		src:       sub.Pins[0],
-		ranks:     r,
-		tf:        tf,
-		items:     stored,
-	}, cache.perShard)
 	for _, it := range items {
 		if err := it.Val.RelabelPins(pins); err != nil {
 			return nil, err
 		}
 	}
 	return items, nil
-}
-
-// windowIsometry derives the map from a cache entry's window onto the
-// current window sub.
-func windowIsometry(e *subEntry, sub tree.Net, r hanan.Ranks, tf hanan.Transform) (*hanan.Isometry, error) {
-	if e.canonical {
-		return hanan.NewIsometry(e.ranks, e.tf, r, tf)
-	}
-	return hanan.Translation(sub.Pins[0].Sub(e.src)), nil
 }
 
 // StepHypervolume executes one local-search step on base with the given

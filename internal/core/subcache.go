@@ -1,11 +1,10 @@
 package core
 
 import (
-	"encoding/binary"
+	"slices"
 	"sync"
 	"sync/atomic"
 
-	"patlabor/internal/geom"
 	"patlabor/internal/hanan"
 	"patlabor/internal/pareto"
 	"patlabor/internal/tree"
@@ -26,30 +25,30 @@ const DefaultSubCacheEntries = 1 << 14
 // few kilobytes of fixed overhead.
 const SubCacheShards = 32
 
-// SubCache memoizes sub-frontier computations of the local search: the
-// exact Pareto frontier of a source-plus-selected-pins window. Windows
-// recur both across iterations of one net (the policy re-selects
-// overlapping windows as the base tree converges) and across nets of a
-// batch (the engine shares one SubCache over all workers), so the memo
-// converts repeated exact sub-net solves — the dominant cost of §V's
-// local search — into tree clones plus an isometry transform.
+// SubCache memoizes exact frontiers under hanan.Key. It is the local
+// search's window memo: the exact Pareto frontier of a
+// source-plus-selected-pins window. Windows recur both across iterations
+// of one net (the policy re-selects overlapping windows as the base tree
+// converges) and across nets of a batch (the engine shares one SubCache
+// over all workers), so the memo converts repeated exact sub-net solves —
+// the dominant cost of §V's local search — into tree clones plus an
+// isometry transform. The ECO session keeps a second SubCache as its
+// whole-net memo, whose entries also carry the route's window trace.
 //
-// Entries are keyed at the strongest level that stays byte-exact:
+// Windows are keyed at the strongest level that stays byte-exact:
 //
-//   - Degrees the lookup table covers use the canonical symmetry key
-//     (hanan.AppendCanonicalKey plus canonically transformed gap
-//     lengths): lut.Table.Query is equivariant under the 8 dihedral
-//     symmetries, so any window in the same symmetry class yields the
+//   - Degrees the lookup table covers use the canonical symmetry key:
+//     lut.Table.Query is equivariant under the 8 dihedral symmetries, so
+//     any window in the same symmetry class yields the
 //     transformed-identical frontier.
 //
-//   - Degrees answered by the exact DP use a translation key (relative
-//     pin coordinates): the DP's tie-breaks are not reflection
-//     invariant, so only pure translates are guaranteed to reproduce
-//     its trees exactly.
+//   - Degrees answered by the exact DP use a translation key: the DP's
+//     tie-breaks are not reflection invariant, so only pure translates
+//     are guaranteed to reproduce its trees exactly.
 //
-// Stored items live in the frame of the first window that produced them
+// Stored items live in the frame of the first net that produced them
 // (pre-relabel, sub-net pin indices); hits clone and map them through
-// the hanan.Isometry connecting the two windows. A SubCache is safe for
+// the hanan.Isometry connecting the two nets. A SubCache is safe for
 // concurrent use; internally the key space is split over SubCacheShards
 // independently locked shards, so concurrent lookups and inserts only
 // contend when they hash to the same shard. Sharding is invisible in the
@@ -79,11 +78,13 @@ type subShard struct {
 	_ [88]byte // pad to 128 bytes: two cache lines, no neighbour sharing
 }
 
-// subHash is the FNV-1a shard-selection hash. The hash only balances
-// load — any function of the key is correct — so the cheapest well-mixed
-// one wins. Generic over the key representation so the string-keyed
-// Remove path does not copy its key into a fresh byte slice.
-func subHash[T ~string | ~[]byte](key T) uint64 {
+// shardOf selects the owning shard of a key by FNV-1a, folding the
+// hash's high bits in so the index bits mix the whole key, not just its
+// tail. The hash only balances load — any function of the key is
+// correct — so the cheapest well-mixed one wins. Generic over the key
+// representation so neither Remove's string nor Get's reused byte buffer
+// is copied.
+func shardOf[T ~string | ~[]byte](c *SubCache, key T) *subShard {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -93,42 +94,29 @@ func subHash[T ~string | ~[]byte](key T) uint64 {
 		h ^= uint64(key[i])
 		h *= prime64
 	}
-	return h
-}
-
-// shardOf selects the owning shard of a key, folding the hash's high
-// bits in so the index bits mix the whole key, not just its tail.
-func (c *SubCache) shardOf(key string) *subShard {
-	h := subHash(key)
 	return &c.shards[(h^h>>32)&(SubCacheShards-1)]
 }
 
-// shardOfBytes is shardOf for the hot path's reusable key buffer.
-func (c *SubCache) shardOfBytes(key []byte) *subShard {
-	h := subHash(key)
-	return &c.shards[(h^h>>32)&(SubCacheShards-1)]
-}
-
-// subEntry is one memoized window frontier, in the originating window's
-// concrete frame with sub-net pin indices. Entries are shared by every
-// goroutine that hits the cache: readers transform items through
-// iso.ApplyTree (a fresh tree) and must never write the entry itself.
+// subEntry is one memoized frontier, in the frame of the net that
+// produced it. Entries are shared by every goroutine that hits the
+// cache: readers map items through the entry's isometry (a fresh tree)
+// and copy the trace, and must never write the entry itself.
 //
 //patlint:shared cache-owned; concurrent readers alias these slices
 type subEntry struct {
-	canonical bool
-	// src anchors translation-keyed entries: the originating window's
-	// source position.
-	src geom.Point
-	// ranks/tf reconstruct the isometry for canonical-keyed entries.
-	ranks hanan.Ranks
-	tf    hanan.Transform
+	frame hanan.Frame
 	items []pareto.Item[*tree.Tree]
+	// trace is the window trace of the route that produced items (ECO's
+	// net memo only): window keys are translation invariant and pin
+	// selections translation equivariant, so a translate's route would
+	// record exactly these windows. Canonically keyed nets are small and
+	// route without windows.
+	trace []TraceWindow
 }
 
-// NewSubCache returns an empty sub-frontier memo holding at most
-// capacity windows (<= 0 uses DefaultSubCacheEntries), spread evenly
-// over SubCacheShards shards.
+// NewSubCache returns an empty memo holding at most capacity entries
+// (<= 0 uses DefaultSubCacheEntries), spread evenly over SubCacheShards
+// shards; the bound rounds up to a whole number of entries per shard.
 func NewSubCache(capacity int) *SubCache {
 	if capacity <= 0 {
 		capacity = DefaultSubCacheEntries
@@ -170,13 +158,13 @@ func (c *SubCache) Len() int {
 // (internal/eco): entries are keyed geometrically and therefore never
 // become stale, but windows whose pins an edit moved will never be
 // looked up again under their old keys, and letting them accumulate
-// would trigger store's wholesale capacity flush — evicting dead keys
+// would trigger Put's wholesale capacity flush — evicting dead keys
 // one by one keeps the live ones resident. The key's hash identifies the
 // owning shard, so an invalidation locks exactly one shard and never
 // stalls lookups elsewhere in the cache. The hit/miss counters are
 // untouched: eviction is not cache traffic.
 func (c *SubCache) Remove(key string) bool {
-	s := c.shardOf(key)
+	s := shardOf(c, key)
 	s.mu.Lock()
 	_, ok := s.entries[key]
 	if ok {
@@ -203,66 +191,50 @@ type SubTrace struct {
 	Windows []TraceWindow
 }
 
-// lookup returns the entry for key, or nil. It does not touch the
-// hit/miss counters — a found entry only becomes a hit once the isometry
-// derivation succeeds (windowFrontier counts the outcome on the owning
-// shard, which it resolves once per window via shardOfBytes).
-func (s *subShard) lookup(key []byte) *subEntry {
+// Get returns the items stored under k, mapped onto k's net through the
+// isometry from the entry's frame, and a copy of the entry's trace. A
+// found entry counts as a hit only once the isometry is verified: an
+// equal key whose isometry cannot be derived would be a key collision,
+// and it counts as a miss so the caller recomputes rather than trusts
+// the entry.
+func (c *SubCache) Get(k *hanan.Key) ([]pareto.Item[*tree.Tree], []TraceWindow, bool) {
+	s := shardOf(c, k.Bytes())
 	s.mu.Lock()
-	e := s.entries[string(key)]
+	e := s.entries[string(k.Bytes())]
 	s.mu.Unlock()
-	return e
+	if e != nil {
+		if iso, err := k.IsometryFrom(e.frame); err == nil {
+			s.hits.Add(1)
+			out := make([]pareto.Item[*tree.Tree], len(e.items))
+			for i, it := range e.items {
+				out[i] = pareto.Item[*tree.Tree]{Sol: it.Sol, Val: iso.ApplyTree(it.Val)}
+			}
+			return out, slices.Clone(e.trace), true
+		}
+	}
+	s.misses.Add(1)
+	return nil, nil, false
 }
 
-// store inserts an entry under key. The first writer wins: concurrent
-// workers may compute the same window, and any of the results is an
-// equally valid representative (they are byte-identical up to the
-// entry's isometry frame). At capacity the shard's map is flushed whole
-// — correctness never depends on residency, only speed does — and the
-// flush never takes another shard's lock.
-func (s *subShard) store(key []byte, e *subEntry, perShard int) {
+// Put stores copies of items (trees in k's net frame) and trace under k.
+// The first writer wins: concurrent workers may compute the same net,
+// and any of the results is an equally valid representative (they are
+// byte-identical up to the entry's isometry frame). At capacity the
+// shard's map is flushed whole — correctness never depends on
+// residency, only speed does — and the flush never takes another
+// shard's lock.
+func (c *SubCache) Put(k *hanan.Key, items []pareto.Item[*tree.Tree], trace []TraceWindow) {
+	e := &subEntry{frame: k.Frame(), items: make([]pareto.Item[*tree.Tree], len(items)), trace: slices.Clone(trace)}
+	for i, it := range items {
+		e.items[i] = pareto.Item[*tree.Tree]{Sol: it.Sol, Val: it.Val.Clone()}
+	}
+	s := shardOf(c, k.Bytes())
 	s.mu.Lock()
-	if len(s.entries) >= perShard {
-		s.entries = make(map[string]*subEntry, perShard)
+	if len(s.entries) >= c.perShard {
+		s.entries = make(map[string]*subEntry, c.perShard)
 	}
-	if _, ok := s.entries[string(key)]; !ok {
-		s.entries[string(key)] = e
+	if _, ok := s.entries[string(k.Bytes())]; !ok {
+		s.entries[string(k.Bytes())] = e
 	}
 	s.mu.Unlock()
-}
-
-// keyScratch holds the reusable buffers of sub-frontier key
-// construction, one per search.
-type keyScratch struct {
-	buf  []byte
-	h, v []int64
-}
-
-// appendWindowKey builds the memo key for a window: the canonical
-// symmetry key when the lookup table answers this degree, the
-// translation key otherwise (see SubCache). It returns the ranks and
-// canonicalizing transform when the canonical form was computed.
-func (ks *keyScratch) appendWindowKey(sub tree.Net, canonical bool) (hanan.Ranks, hanan.Transform) {
-	var r hanan.Ranks
-	var tf hanan.Transform
-	if canonical {
-		r = hanan.RanksOf(sub)
-		ks.buf = append(ks.buf[:0], 'C')
-		ks.buf, tf = hanan.AppendCanonicalKey(ks.buf, r.Pattern)
-		ks.h, ks.v = tf.ApplyLengthsInto(r.H, r.V, ks.h, ks.v)
-		for _, g := range ks.h {
-			ks.buf = binary.AppendVarint(ks.buf, g)
-		}
-		for _, g := range ks.v {
-			ks.buf = binary.AppendVarint(ks.buf, g)
-		}
-		return r, tf
-	}
-	ks.buf = append(ks.buf[:0], 'R', byte(sub.Degree()))
-	src := sub.Pins[0]
-	for _, p := range sub.Pins[1:] {
-		ks.buf = binary.AppendVarint(ks.buf, p.X-src.X)
-		ks.buf = binary.AppendVarint(ks.buf, p.Y-src.Y)
-	}
-	return r, tf
 }

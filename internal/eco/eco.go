@@ -11,10 +11,11 @@
 //
 //   - Net-level memo: post-edit nets whose geometry matches a previously
 //     routed net — up to translation always, up to the 8 dihedral
-//     symmetries for table-covered small degrees — are answered by
+//     symmetries for table-covered degrees up to λ — are answered by
 //     transforming the memoized frontier through a verified
-//     hanan.Isometry. This mirrors the batch engine's planDedup key
-//     scheme, extended across time instead of across a batch, and is
+//     hanan.Isometry. The memo is a second core.SubCache keyed by
+//     hanan.Key under core.NetCanonical, the batch engine's planDedup
+//     key extended across time instead of across a batch, and it is
 //     what makes ECO try/revert loops nearly free.
 //
 //   - Warm sub-frontier memo: the Session shares one core.SubCache

@@ -2,13 +2,11 @@ package eco
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"patlabor/internal/core"
-	"patlabor/internal/dw"
 	"patlabor/internal/geom"
 	"patlabor/internal/hanan"
 	"patlabor/internal/lut"
@@ -31,22 +29,14 @@ const DefaultMemoEntries = 1 << 12
 type Session struct {
 	// copts is the resolved core configuration every full route uses;
 	// copts.Cache is the shared sub-frontier memo (nil iff NoCache).
-	copts  core.Options
-	lambda int
-	table  *lut.Table
+	copts core.Options
 
-	// memo answers whole-net geometry revisits, keyed exactly like the
-	// batch engine's planDedup — canonical dihedral class ('S') for
-	// table-covered small degrees, translation class ('L') otherwise —
-	// so every hit is synthesized through the same verified
-	// hanan.Isometry machinery. nil iff NoCache. Entries are evicted one
-	// key at a time in insertion order when the memo is full (precise,
-	// never a wholesale flush) and are never stale: keys encode the full
-	// geometry, so a mutated net simply keys elsewhere.
-	mu       sync.Mutex
-	memo     map[string]*memoEntry
-	memoFIFO []string
-	memoCap  int
+	// memo answers whole-net geometry revisits: a second core.SubCache,
+	// keyed like the batch engine's planDedup (hanan.Key at the level
+	// core.NetCanonical picks), whose entries carry the route's window
+	// trace. nil iff NoCache. Entries are never stale: keys encode the
+	// full geometry, so a mutated net simply keys elsewhere.
+	memo *core.SubCache
 
 	tracks             atomic.Int64
 	reroutes           atomic.Int64
@@ -54,25 +44,6 @@ type Session struct {
 	fullReroutes       atomic.Int64
 	dirtySubtrees      atomic.Int64
 	cacheInvalidations atomic.Int64
-}
-
-// memoEntry is one memoized net frontier in the originating net's
-// concrete frame, plus the sub-frontier windows its route consulted.
-// Entries are immutable after construction: later hits (and the traces
-// solve returns) alias them directly.
-//
-//patlint:shared cache-owned; memo hits and returned traces alias these slices
-type memoEntry struct {
-	canonical bool
-	src       geom.Point
-	ranks     hanan.Ranks
-	tf        hanan.Transform
-	items     []pareto.Item[*tree.Tree]
-	// trace carries to translation-keyed hits verbatim: window keys are
-	// translation invariant and pin selections are translation
-	// equivariant, so the hit net's route would record exactly these
-	// windows. Canonical-keyed entries are small nets with empty traces.
-	trace []core.TraceWindow
 }
 
 // Stats is a snapshot of a Session's cumulative counters. The invariant
@@ -106,32 +77,26 @@ type Stats struct {
 // only the identity fast path, proving results never depend on cache
 // state.
 func NewSession(opts core.Options) (*Session, error) {
-	lambda := opts.Lambda
-	if lambda == 0 {
-		lambda = core.DefaultLambda
-	}
-	if lambda < 2 || lambda > dw.MaxExactDegree {
-		return nil, fmt.Errorf("eco: lambda %d out of range [2,%d]", lambda, dw.MaxExactDegree)
-	}
-	table := opts.Table
-	if table == nil {
-		table = lut.Default()
+	lambda, err := core.ResolveLambda(opts.Lambda)
+	if err != nil {
+		return nil, fmt.Errorf("eco: %w", err)
 	}
 	copts := opts
 	copts.Lambda = lambda
-	copts.Table = table
+	if copts.Table == nil {
+		copts.Table = lut.Default()
+	}
 	copts.Trace = nil
+	var memo *core.SubCache
 	if opts.NoCache {
 		copts.Cache = nil
-	} else if copts.Cache == nil {
-		copts.Cache = core.NewSubCache(0)
+	} else {
+		if copts.Cache == nil {
+			copts.Cache = core.NewSubCache(0)
+		}
+		memo = core.NewSubCache(DefaultMemoEntries)
 	}
-	s := &Session{copts: copts, lambda: lambda, table: table}
-	if !opts.NoCache {
-		s.memo = make(map[string]*memoEntry)
-		s.memoCap = DefaultMemoEntries
-	}
-	return s, nil
+	return &Session{copts: copts, memo: memo}, nil
 }
 
 // SubCache returns the session's shared sub-frontier memo (nil iff the
@@ -320,40 +285,23 @@ func (s *Session) invalidate(trace []core.TraceWindow, geo []bool) {
 }
 
 // solve answers net through the net-level memo when possible and by a
-// full (warm-cache) route otherwise. The returned items are fresh trees
-// owned by the caller; the trace may alias an immutable memo entry.
+// full (warm-cache) route otherwise. The returned items and trace are
+// fresh copies owned by the caller.
 func (s *Session) solve(ctx context.Context, net tree.Net) ([]pareto.Item[*tree.Tree], []core.TraceWindow, error) {
 	if s.memo == nil || net.Degree() < 2 {
 		return s.routeFull(ctx, net)
 	}
-	key, canonical, r, tf := s.netKey(net)
-	s.mu.Lock()
-	e := s.memo[key]
-	s.mu.Unlock()
-	if e != nil {
-		if iso, err := netIsometry(e, net, r, tf); err == nil {
-			s.ecoHits.Add(1)
-			out := make([]pareto.Item[*tree.Tree], len(e.items))
-			for i, it := range e.items {
-				out[i] = pareto.Item[*tree.Tree]{Sol: it.Sol, Val: iso.ApplyTree(it.Val)}
-			}
-			return out, e.trace, nil
-		}
-		// A matching key whose isometry cannot be derived would be a key
-		// collision; route rather than trust the entry.
+	var key hanan.Key
+	key.Set(net, core.NetCanonical(net.Degree(), s.copts.Lambda, s.copts.Table))
+	if items, trace, ok := s.memo.Get(&key); ok {
+		s.ecoHits.Add(1)
+		return items, trace, nil
 	}
 	items, trace, err := s.routeFull(ctx, net)
 	if err != nil {
 		return nil, nil, err
 	}
-	s.memoStore(key, &memoEntry{
-		canonical: canonical,
-		src:       net.Pins[0],
-		ranks:     r,
-		tf:        tf,
-		items:     cloneItems(items),
-		trace:     trace,
-	})
+	s.memo.Put(&key, items, trace)
 	return items, trace, nil
 }
 
@@ -378,68 +326,13 @@ func (s *Session) routeFull(ctx context.Context, net tree.Net) ([]pareto.Item[*t
 	return items, windows, nil
 }
 
-// netKey builds the net-level memo key, mirroring the batch engine's
-// planDedup byte for byte: canonical dihedral class ('S') when the
-// lookup table answers the degree directly, translation class ('L')
-// otherwise (the DP and the local search are translation-equivariant but
-// not reflection-invariant in their tie-breaks).
-func (s *Session) netKey(net tree.Net) (key string, canonical bool, r hanan.Ranks, tf hanan.Transform) {
-	n := net.Degree()
-	canonical = n <= s.lambda && s.table.Covers(n)
-	var buf []byte
-	if canonical {
-		r = hanan.RanksOf(net)
-		buf = append(buf, 'S')
-		buf, tf = hanan.AppendCanonicalKey(buf, r.Pattern)
-		hs, vs := tf.ApplyLengthsInto(r.H, r.V, nil, nil)
-		for _, g := range hs {
-			buf = binary.AppendVarint(buf, g)
-		}
-		for _, g := range vs {
-			buf = binary.AppendVarint(buf, g)
-		}
-		return string(buf), canonical, r, tf
-	}
-	buf = append(buf, 'L')
-	buf = binary.AppendUvarint(buf, uint64(n))
-	src := net.Pins[0]
-	for _, p := range net.Pins[1:] {
-		buf = binary.AppendVarint(buf, p.X-src.X)
-		buf = binary.AppendVarint(buf, p.Y-src.Y)
-	}
-	return string(buf), canonical, r, tf
-}
-
-// netIsometry derives the verified map from a memo entry's net onto net.
-func netIsometry(e *memoEntry, net tree.Net, r hanan.Ranks, tf hanan.Transform) (*hanan.Isometry, error) {
-	if e.canonical {
-		return hanan.NewIsometry(e.ranks, e.tf, r, tf)
-	}
-	return hanan.Translation(net.Pins[0].Sub(e.src)), nil
-}
-
-// memoStore inserts an entry, evicting the oldest keys one at a time at
-// capacity (first writer wins on duplicate keys).
-func (s *Session) memoStore(key string, e *memoEntry) {
-	s.mu.Lock()
-	if _, ok := s.memo[key]; !ok {
-		for len(s.memo) >= s.memoCap && len(s.memoFIFO) > 0 {
-			delete(s.memo, s.memoFIFO[0])
-			s.memoFIFO = s.memoFIFO[1:]
-		}
-		s.memo[key] = e
-		s.memoFIFO = append(s.memoFIFO, key)
-	}
-	s.mu.Unlock()
-}
-
 // MemoLen returns the number of resident net-memo entries (0 with
 // NoCache).
 func (s *Session) MemoLen() int {
-	s.mu.Lock()
-	n := len(s.memo)
-	s.mu.Unlock()
-	return n
+	if s.memo == nil {
+		return 0
+	}
+	return s.memo.Len()
 }
 
 func copyNet(n tree.Net) tree.Net {

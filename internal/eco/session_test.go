@@ -8,6 +8,7 @@ package eco
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"patlabor/internal/core"
@@ -232,8 +233,10 @@ func TestMemoRevisit(t *testing.T) {
 	}
 }
 
-// TestMemoEviction checks the FIFO memo evicts one key at a time in
-// insertion order, never wholesale.
+// TestMemoEviction checks the net memo never holds more than its bound:
+// tracking more distinct geometries than the memo's capacity evicts,
+// translated revisits still hit, and every answer stays byte-identical
+// to a cacheless route.
 func TestMemoEviction(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(3))
@@ -241,25 +244,36 @@ func TestMemoEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.memoCap = 3
-	var keys []string
-	for i := 0; i < 5; i++ {
-		net := randNet(rng, 12, 5000, geom.Pt(int64(i)*100_000, 0))
-		k, _, _, _ := s.netKey(net)
-		keys = append(keys, k)
-		if _, err := s.Track(ctx, net); err != nil {
+	const bound = core.SubCacheShards // one entry per shard
+	s.memo = core.NewSubCache(bound)
+	for i := 0; i < 4*bound; i++ {
+		net := randNet(rng, 2+rng.Intn(9), 5000, geom.Pt(int64(i)*100_000, 0))
+		moved := copyNet(net)
+		for j := range moved.Pins {
+			moved.Pins[j] = moved.Pins[j].Add(geom.Pt(-31, 17))
+		}
+		want, err := core.RouteContext(ctx, moved, core.Options{NoCache: true})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got := s.MemoLen(); got > 3 {
-			t.Fatalf("after %d inserts: %d entries resident, cap 3", i+1, got)
+		hits0 := s.ecoHits.Load()
+		for _, n := range []tree.Net{net, moved} {
+			if _, err := s.Track(ctx, n); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.MemoLen(); got > bound {
+				t.Fatalf("after %d geometries: %d entries resident, bound %d", i+1, got, bound)
+			}
 		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, k := range keys {
-		_, resident := s.memo[k]
-		if want := i >= 2; resident != want {
-			t.Fatalf("key %d resident=%v, want %v (FIFO order)", i, resident, want)
+		if s.ecoHits.Load() != hits0+1 {
+			t.Fatalf("geometry %d: translated revisit missed the memo", i)
+		}
+		h, err := s.Track(ctx, moved)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := h.Frontier(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("geometry %d: memo answer differs from a cacheless route", i)
 		}
 	}
 }

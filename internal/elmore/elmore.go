@@ -117,19 +117,3 @@ func Rank(cands []pareto.Item[*tree.Tree], p Params) []int {
 	}
 	return out
 }
-
-// Best returns the candidate index minimising Elmore delay subject to a
-// wirelength budget (-1 when none fits).
-func Best(cands []pareto.Item[*tree.Tree], p Params, wireBudget int64) int {
-	best, bestD := -1, 0.0
-	for i, c := range cands {
-		if c.Sol.W > wireBudget {
-			continue
-		}
-		d := MaxDelay(c.Val, p)
-		if best < 0 || d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return best
-}

@@ -109,16 +109,12 @@ func TestRankAndBest(t *testing.T) {
 			}
 			prevIdx, prevD = idx, d
 		}
-		// Best under an infinite budget is the global Elmore minimum.
-		best := Best(cands, p, 1<<62)
+		// The last candidate Rank keeps is the global Elmore minimum.
+		best := kept[len(kept)-1]
 		for i := range cands {
 			if MaxDelay(cands[i].Val, p) < MaxDelay(cands[best].Val, p)-1e-9 {
-				t.Fatal("Best missed a faster candidate")
+				t.Fatal("Rank missed a faster candidate")
 			}
-		}
-		// Best under an impossible budget returns -1.
-		if Best(cands, p, 0) != -1 {
-			t.Fatal("Best ignored the budget")
 		}
 	}
 }

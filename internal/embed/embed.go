@@ -139,15 +139,3 @@ func unionLength(ivs [][2]int64) int64 {
 func TreeMetal(t *tree.Tree, corner Corner) int64 {
 	return MetalLength(Tree(t, corner))
 }
-
-// Overlap returns the metal the tree model double-counts: Wirelength
-// minus the best metal length over both uniform corner rules. Zero means
-// the tree's edges are disjoint as drawn.
-func Overlap(t *tree.Tree) int64 {
-	w := t.Wirelength()
-	m := TreeMetal(t, LowerL)
-	if alt := TreeMetal(t, UpperL); alt > m {
-		m = alt
-	}
-	return w - m
-}

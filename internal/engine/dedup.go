@@ -1,8 +1,7 @@
 package engine
 
 import (
-	"encoding/binary"
-
+	"patlabor/internal/core"
 	"patlabor/internal/hanan"
 	"patlabor/internal/tree"
 )
@@ -17,31 +16,27 @@ type dupAssign struct {
 	iso *hanan.Isometry
 }
 
-// repCand is one representative already planned under a dedup key; ranks
-// and tf are retained only for canonically keyed candidates, where the
-// isometry must be derived (and verified) per duplicate.
+// repCand is one representative already planned under a dedup key,
+// with the key frame its duplicates' isometries are derived from.
 type repCand struct {
 	idx   int
-	ranks hanan.Ranks
-	tf    hanan.Transform
+	frame hanan.Frame
 }
 
 // planDedup scans the batch in index order and groups nets that are
 // guaranteed to produce transform-identical frontiers, so RouteAll can
-// route one representative per group and synthesize the rest. The
-// grouping mirrors core.SubCache's key scheme, at net granularity:
+// route one representative per group and synthesize the rest. Nets key
+// through hanan.Key, at the level core.NetCanonical picks:
 //
 //   - Small nets the lookup table covers key on their canonical symmetry
-//     class ('S': canonical pattern plus canonically transformed gaps);
-//     any of the 8 dihedral symmetries plus translation maps the
+//     class; any of the 8 dihedral symmetries plus translation maps the
 //     representative's frontier onto the duplicate's exactly. Equal keys
 //     are re-verified coordinate-by-coordinate by hanan.NewIsometry; a
 //     net whose isometry derivation fails against every candidate simply
 //     becomes its own representative.
 //
-//   - All other nets key on translation only ('L': degree plus
-//     source-relative pin coordinates, in pin order) — the exact DP and
-//     the local search are translation-equivariant but not
+//   - All other nets key on translation only — the exact DP and the
+//     local search are translation-equivariant but not
 //     reflection-invariant in their tie-breaks, and the local search's
 //     pin selection follows sink indices, so an order-permuted translate
 //     is deliberately NOT grouped (its frontier is not guaranteed
@@ -58,50 +53,22 @@ type repCand struct {
 func (e *Engine) planDedup(nets []tree.Net) (assigns []dupAssign, hits, misses int64) {
 	assigns = make([]dupAssign, len(nets))
 	groups := make(map[string][]repCand)
-	var buf []byte
-	var hs, vs []int64
+	var key hanan.Key
 	for i, net := range nets {
 		assigns[i].rep = i
 		n := net.Degree()
 		if n < 2 {
 			continue // trivial nets: routing is cheaper than keying
 		}
-		canonical := n <= e.lambda && e.table != nil && e.table.Covers(n)
-		var r hanan.Ranks
-		var tf hanan.Transform
-		if canonical {
-			r = hanan.RanksOf(net)
-			buf = append(buf[:0], 'S')
-			buf, tf = hanan.AppendCanonicalKey(buf, r.Pattern)
-			hs, vs = tf.ApplyLengthsInto(r.H, r.V, hs, vs)
-			for _, g := range hs {
-				buf = binary.AppendVarint(buf, g)
-			}
-			for _, g := range vs {
-				buf = binary.AppendVarint(buf, g)
-			}
-		} else {
-			buf = append(buf[:0], 'L')
-			buf = binary.AppendUvarint(buf, uint64(n))
-			src := net.Pins[0]
-			for _, p := range net.Pins[1:] {
-				buf = binary.AppendVarint(buf, p.X-src.X)
-				buf = binary.AppendVarint(buf, p.Y-src.Y)
-			}
-		}
-		cands := groups[string(buf)]
+		key.Set(net, core.NetCanonical(n, e.lambda, e.table))
+		cands := groups[string(key.Bytes())]
 		matched := false
 		for _, c := range cands {
-			if canonical {
-				iso, err := hanan.NewIsometry(c.ranks, c.tf, r, tf)
-				if err != nil {
-					continue // key collision: verification refused, try the next
-				}
-				assigns[i] = dupAssign{rep: c.idx, iso: iso}
-			} else {
-				delta := net.Pins[0].Sub(nets[c.idx].Pins[0])
-				assigns[i] = dupAssign{rep: c.idx, iso: hanan.Translation(delta)}
+			iso, err := key.IsometryFrom(c.frame)
+			if err != nil {
+				continue // key collision: verification refused, try the next
 			}
+			assigns[i] = dupAssign{rep: c.idx, iso: iso}
 			matched = true
 			break
 		}
@@ -110,7 +77,7 @@ func (e *Engine) planDedup(nets []tree.Net) (assigns []dupAssign, hits, misses i
 			continue
 		}
 		misses++
-		groups[string(buf)] = append(cands, repCand{idx: i, ranks: r, tf: tf})
+		groups[string(key.Bytes())] = append(cands, repCand{idx: i, frame: key.Frame()})
 	}
 	return assigns, hits, misses
 }

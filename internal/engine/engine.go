@@ -170,7 +170,16 @@ func New(opts Options) (*Engine, error) {
 	var session *eco.Session
 	var hierStats *hier.Counters
 	dedup := false
-	if method.Key(name) == "patlabor" {
+	key := method.Key(name)
+	isHier := key == "hier" || key == "hierarchical"
+	lambda := 0
+	if key == "patlabor" || isHier {
+		var err error
+		if lambda, err = core.ResolveLambda(opts.Lambda); err != nil {
+			return nil, fmt.Errorf("engine: %w", err)
+		}
+	}
+	if key == "patlabor" {
 		if !opts.NoCache {
 			subCache = core.NewSubCache(0)
 			dedup = true
@@ -205,7 +214,7 @@ func New(opts Options) (*Engine, error) {
 			// degrees), so that cost lands in construction, not mid-batch.
 			counting = lut.Default()
 		}
-	} else if method.Key(name) == "hier" || method.Key(name) == "hierarchical" {
+	} else if isHier {
 		if !opts.NoCache {
 			subCache = core.NewSubCache(0)
 			// The hierarchical pipeline is translation-equivariant end to
@@ -242,10 +251,6 @@ func New(opts Options) (*Engine, error) {
 		// nil (unless a table was passed explicitly) so a salt/ysd engine
 		// does not pay for eager table generation.
 		m = mm
-	}
-	lambda := opts.Lambda
-	if lambda <= 0 {
-		lambda = core.DefaultLambda
 	}
 	e := &Engine{
 		method:   m,

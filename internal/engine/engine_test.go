@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"patlabor/internal/core"
+	"patlabor/internal/geom"
 	"patlabor/internal/lut"
 	"patlabor/internal/netgen"
 	"patlabor/internal/pareto"
@@ -163,6 +164,41 @@ func TestRouteAllError(t *testing.T) {
 		t.Fatal("empty net accepted")
 	}
 	if !strings.Contains(err.Error(), "net 1") {
+		t.Fatalf("error %q does not name the lowest failed net", err)
+	}
+}
+
+// TestNewRejectsLambda checks both table-routing methods validate λ up
+// front instead of failing every net of every batch.
+func TestNewRejectsLambda(t *testing.T) {
+	for _, m := range []string{"patlabor", "hier"} {
+		for _, lambda := range []int{-1, 1, 17} {
+			if _, err := New(Options{Method: m, Lambda: lambda}); err == nil {
+				t.Fatalf("method %s: lambda %d accepted", m, lambda)
+			}
+		}
+	}
+}
+
+// TestRouteAllOverflowPanicIsError routes nets whose coordinates sit
+// near ±2^62, where the router's int64 arithmetic panics, on two
+// workers: the batch must fail with the lowest net's error instead of
+// the panic killing the process.
+func TestRouteAllOverflowPanicIsError(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	nets := make([]tree.Net, 2)
+	for i := range nets {
+		pins := make([]geom.Point, 13)
+		for j := range pins {
+			pins[j] = geom.Pt(rng.Int63n(1<<20)-(1<<62)*int64(1-2*(j%2)), rng.Int63n(1<<20)+(1<<62)*int64(1-2*(j/2%2)))
+		}
+		nets[i] = tree.Net{Pins: pins}
+	}
+	_, err := RouteAll(context.Background(), nets, Options{Workers: 2})
+	if err == nil {
+		t.Fatal("overflowing nets routed without error")
+	}
+	if !strings.Contains(err.Error(), "index 0") && !strings.Contains(err.Error(), "net 0") {
 		t.Fatalf("error %q does not name the lowest failed net", err)
 	}
 }

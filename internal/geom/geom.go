@@ -160,18 +160,6 @@ func Median(xs []int64) int64 {
 	return cp[(len(cp)-1)/2]
 }
 
-// MedianPoint returns the componentwise rectilinear median of the points,
-// which minimises the sum of L1 distances to them.
-func MedianPoint(pts []Point) Point {
-	xs := make([]int64, len(pts))
-	ys := make([]int64, len(pts))
-	for i, p := range pts {
-		xs[i] = p.X
-		ys[i] = p.Y
-	}
-	return Point{X: Median(xs), Y: Median(ys)}
-}
-
 // Meet returns the "meeting point" of p and q toward the origin-side corner:
 // (min(x), min(y)). It is the canonical merge point used by rectilinear
 // Steiner arborescence heuristics for first-quadrant instances.

@@ -111,12 +111,9 @@ type config struct {
 
 func resolve(opts Options) (config, error) {
 	cfg := config{core: opts.Core, stats: opts.Stats}
-	lambda := opts.Core.Lambda
-	if lambda == 0 {
-		lambda = core.DefaultLambda
-	}
-	if lambda < 2 || lambda > dw.MaxExactDegree {
-		return config{}, fmt.Errorf("hier: lambda %d out of range [2,%d]", lambda, dw.MaxExactDegree)
+	lambda, err := core.ResolveLambda(opts.Core.Lambda)
+	if err != nil {
+		return config{}, fmt.Errorf("hier: %w", err)
 	}
 	cs := opts.ClusterSize
 	if cs == 0 {

@@ -295,19 +295,6 @@ func Suite(cfg SuiteConfig) []Design {
 	return designs
 }
 
-// NetsOfDegree collects all nets of exactly degree n across the designs.
-func NetsOfDegree(designs []Design, n int) []tree.Net {
-	var out []tree.Net
-	for _, d := range designs {
-		for _, net := range d.Nets {
-			if net.Degree() == n {
-				out = append(out, net)
-			}
-		}
-	}
-	return out
-}
-
 // NetsInDegreeRange collects nets with degree in [lo, hi].
 func NetsInDegreeRange(designs []Design, lo, hi int) []tree.Net {
 	var out []tree.Net

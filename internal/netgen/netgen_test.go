@@ -164,8 +164,8 @@ func TestNetsOfDegree(t *testing.T) {
 		Uniform(rand.New(rand.NewSource(2)), 6, 10),
 		Uniform(rand.New(rand.NewSource(3)), 4, 10),
 	}}}
-	if got := len(NetsOfDegree(designs, 4)); got != 2 {
-		t.Fatalf("NetsOfDegree(4) = %d", got)
+	if got := len(NetsInDegreeRange(designs, 4, 4)); got != 2 {
+		t.Fatalf("NetsInDegreeRange(4, 4) = %d", got)
 	}
 	if got := len(NetsInDegreeRange(designs, 4, 6)); got != 3 {
 		t.Fatalf("NetsInDegreeRange = %d", got)

@@ -9,6 +9,7 @@ package pool
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 )
@@ -28,10 +29,12 @@ const (
 // per-worker scratch without locking. Indices are dispatched in order; on
 // failure the pool drains in-flight work, stops dispatching, and returns
 // the error of the lowest failed index — so the reported error is
-// deterministic even though scheduling is not. When ctx is cancelled,
-// dispatch stops, handed-out indices abort at their next internal ctx
-// check, and ctx.Err() is returned (taking precedence over per-index
-// errors).
+// deterministic even though scheduling is not. A panic in fn is
+// recovered and becomes its index's error, on either path, so one bad
+// input fails its batch instead of killing the process. When ctx is
+// cancelled, dispatch stops, handed-out indices abort at their next
+// internal ctx check, and ctx.Err() is returned (taking precedence over
+// per-index errors).
 func Each(ctx context.Context, n, workers int, fn func(worker, i int) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -50,7 +53,7 @@ func Each(ctx context.Context, n, workers int, fn func(worker, i int) error) err
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := fn(0, i); err != nil {
+			if err := call(fn, 0, i); err != nil {
 				// Match the pooled path: a cancellation-caused failure
 				// surfaces as ctx.Err(), not the per-index wrapper.
 				if cerr := ctx.Err(); cerr != nil {
@@ -95,7 +98,7 @@ func Each(ctx context.Context, n, workers int, fn func(worker, i int) error) err
 					hi = n
 				}
 				for i := lo; i < hi; i++ {
-					if err := fn(worker, i); err != nil {
+					if err := call(fn, worker, i); err != nil {
 						errs[i] = err
 						failed.Do(func() { close(stop) })
 					}
@@ -132,4 +135,14 @@ dispatch:
 		}
 	}
 	return nil
+}
+
+// call runs fn(worker, i), returning a panic in it as index i's error.
+func call(fn func(worker, i int) error, worker, i int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("pool: index %d panicked: %v", i, r)
+		}
+	}()
+	return fn(worker, i)
 }

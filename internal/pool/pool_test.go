@@ -47,6 +47,23 @@ func TestEachLowestError(t *testing.T) {
 	}
 }
 
+// TestEachPanicIsIndexError: a panicking fn fails its index like a
+// returned error — on the serial path and in pool goroutines — and the
+// lowest panicking index is reported, the process surviving both.
+func TestEachPanicIsIndexError(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		err := Each(context.Background(), 40, workers, func(worker, i int) error {
+			if i == 9 || i == 31 {
+				panic(fmt.Sprintf("boom at %d", i))
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "pool: index 9 panicked: boom at 9" {
+			t.Fatalf("workers=%d: err %v, want index 9's panic", workers, err)
+		}
+	}
+}
+
 // TestEachChunkedLowestError stresses the lowest-failed-index guarantee
 // across chunk boundaries: n large enough that chunked dispatch hands
 // out multi-index chunks, failures scattered so the lowest one lands

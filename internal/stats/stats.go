@@ -1,12 +1,9 @@
 // Package stats provides the small statistical toolkit the experiment
 // harness needs: simple linear regression (for the Figure 6 frontier-size
-// fit), means and summaries. Implemented on float64 with stdlib only.
+// fit) and means. Implemented on float64 with stdlib only.
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // LinFit is a least-squares line y = Slope*x + Intercept with its
 // coefficient of determination.
@@ -74,57 +71,4 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of positive values (0 if any value is
-// nonpositive or the input is empty).
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
-// MaxInt returns the maximum of xs (0 for empty input).
-func MaxInt(xs []int) int {
-	m := 0
-	for i, x := range xs {
-		if i == 0 || x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Summary holds order statistics of a sample.
-type Summary struct {
-	N        int
-	Min, Max float64
-	Mean     float64
-}
-
-// Summarize computes a Summary.
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs)}
-	if len(xs) == 0 {
-		return s
-	}
-	s.Min, s.Max = xs[0], xs[0]
-	for _, x := range xs {
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = Mean(xs)
-	return s
 }

@@ -68,31 +68,3 @@ func TestMean(t *testing.T) {
 		t.Fatal("Mean wrong")
 	}
 }
-
-func TestGeoMean(t *testing.T) {
-	if GeoMean(nil) != 0 {
-		t.Fatal("GeoMean(nil) != 0")
-	}
-	if g := GeoMean([]float64{2, 8}); math.Abs(g-4) > 1e-9 {
-		t.Fatalf("GeoMean = %v", g)
-	}
-	if GeoMean([]float64{1, 0}) != 0 {
-		t.Fatal("GeoMean with zero must be 0")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{3, 1, 2})
-	if s.N != 3 || s.Min != 1 || s.Max != 3 || s.Mean != 2 {
-		t.Fatalf("summary = %+v", s)
-	}
-	if z := Summarize(nil); z.N != 0 {
-		t.Fatalf("empty summary = %+v", z)
-	}
-}
-
-func TestMaxInt(t *testing.T) {
-	if MaxInt(nil) != 0 || MaxInt([]int{-5, -2}) != -2 || MaxInt([]int{1, 9, 3}) != 9 {
-		t.Fatal("MaxInt wrong")
-	}
-}
