@@ -35,11 +35,12 @@ import (
 
 // Options configures PatLabor.
 type Options struct {
-	// Lambda is the small-net threshold λ. 0 defaults to DefaultLambda.
-	// Values above dw.MaxExactDegree are rejected.
+	// Lambda is the small-net threshold λ. 0 defaults to DefaultLambda
+	// (see Resolve). Values outside [2, dw.MaxExactDegree] are rejected.
 	Lambda int
-	// Table answers small-net queries; nil uses lut.Default(). Degrees the
-	// table does not cover fall back to the exact DP.
+	// Table answers small-net queries; nil uses lut.Default() (see
+	// Resolve). Degrees the table does not cover fall back to the exact
+	// DP.
 	Table *lut.Table
 	// Params overrides the selection policy parameters; nil uses the
 	// trained defaults per degree.
@@ -74,17 +75,22 @@ type Options struct {
 // DefaultLambda is the paper's λ = 9.
 const DefaultLambda = 9
 
-// ResolveLambda maps 0 to DefaultLambda and rejects a λ outside
+// Resolve fills in the defaults in place: λ = 0 becomes DefaultLambda
+// and a nil Table the shared lut.Default(). It rejects a λ outside
 // [2, dw.MaxExactDegree]: every n ≤ λ must be solvable exactly, and a
-// window of λ pins needs a sink besides the source.
-func ResolveLambda(lambda int) (int, error) {
-	if lambda == 0 {
-		lambda = DefaultLambda
+// window of λ pins needs a sink besides the source. Every entry point
+// resolves its options once; resolving twice changes nothing.
+func (o *Options) Resolve() error {
+	if o.Lambda == 0 {
+		o.Lambda = DefaultLambda
 	}
-	if lambda < 2 || lambda > dw.MaxExactDegree {
-		return 0, fmt.Errorf("core: lambda %d out of range [2,%d]", lambda, dw.MaxExactDegree)
+	if o.Lambda < 2 || o.Lambda > dw.MaxExactDegree {
+		return fmt.Errorf("core: lambda %d out of range [2,%d]", o.Lambda, dw.MaxExactDegree)
 	}
-	return lambda, nil
+	if o.Table == nil {
+		o.Table = lut.Default()
+	}
+	return nil
 }
 
 // NetCanonical reports whether a whole net of degree n is memoized (and
@@ -109,14 +115,13 @@ func RouteContext(ctx context.Context, net tree.Net, opts Options) ([]pareto.Ite
 	if n == 0 {
 		return nil, fmt.Errorf("core: empty net")
 	}
-	lambda, err := ResolveLambda(opts.Lambda)
-	if err != nil {
+	if err := opts.Resolve(); err != nil {
 		return nil, err
 	}
-	if n <= lambda {
+	if n <= opts.Lambda {
 		return small(ctx, net, opts)
 	}
-	return localSearch(ctx, net, lambda, opts)
+	return localSearch(ctx, net, opts)
 }
 
 // FrontierContext returns only the objective vectors of RouteContext.
@@ -133,16 +138,12 @@ func FrontierContext(ctx context.Context, net tree.Net, opts Options) ([]pareto.
 }
 
 // small answers a small-degree net exactly: lookup table when covered,
-// concrete Pareto-DW otherwise.
+// concrete Pareto-DW otherwise. opts must be resolved.
 func small(ctx context.Context, net tree.Net, opts Options) ([]pareto.Item[*tree.Tree], error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	table := opts.Table
-	if table == nil {
-		table = lut.Default()
-	}
-	if items, ok, err := table.Query(net); err == nil && ok {
+	if items, ok, err := opts.Table.Query(net); err == nil && ok {
 		return items, nil
 	} else if err != nil {
 		return nil, err
@@ -150,8 +151,8 @@ func small(ctx context.Context, net tree.Net, opts Options) ([]pareto.Item[*tree
 	return dw.FrontierContext(ctx, net, dw.DefaultOptions())
 }
 
-func localSearch(ctx context.Context, net tree.Net, lambda int, opts Options) ([]pareto.Item[*tree.Tree], error) {
-	n := net.Degree()
+func localSearch(ctx context.Context, net tree.Net, opts Options) ([]pareto.Item[*tree.Tree], error) {
+	n, lambda := net.Degree(), opts.Lambda
 	iters := opts.Iterations
 	if iters <= 0 {
 		iters = n / lambda
@@ -314,6 +315,9 @@ var windowKeys = sync.Pool{New: func() any { return new(hanan.Key) }}
 // sub-frontier memo passed in opts.Cache (nil means no memo), so results
 // are byte-identical with the memo cold, warm, or absent.
 func WindowFrontier(ctx context.Context, net tree.Net, pins []int, opts Options) ([]pareto.Item[*tree.Tree], error) {
+	if err := opts.Resolve(); err != nil {
+		return nil, err
+	}
 	if len(pins) < 2 {
 		return nil, fmt.Errorf("core: window needs at least 2 pins, got %d", len(pins))
 	}
@@ -337,7 +341,7 @@ func WindowFrontier(ctx context.Context, net tree.Net, pins []int, opts Options)
 // answered from the memo when an equivalent window was solved before. A
 // window is keyed canonically iff the table covers its degree: small
 // answers every window exactly, so the table's symmetry equivariance is
-// the only condition (see SubCache).
+// the only condition (see SubCache). opts must be resolved.
 func windowFrontier(ctx context.Context, net tree.Net, pins []int, opts Options, cache *SubCache, key *hanan.Key) ([]pareto.Item[*tree.Tree], error) {
 	sub := tree.Net{Pins: make([]geom.Point, len(pins))}
 	for i, p := range pins {
@@ -346,11 +350,7 @@ func windowFrontier(ctx context.Context, net tree.Net, pins []int, opts Options,
 	var items []pareto.Item[*tree.Tree]
 	hit := false
 	if cache != nil {
-		table := opts.Table
-		if table == nil {
-			table = lut.Default()
-		}
-		key.Set(sub, table.Covers(sub.Degree()))
+		key.Set(sub, opts.Table.Covers(sub.Degree()))
 		if opts.Trace != nil {
 			opts.Trace.Windows = append(opts.Trace.Windows, TraceWindow{
 				Key:  string(key.Bytes()),
@@ -381,7 +381,11 @@ func windowFrontier(ctx context.Context, net tree.Net, pins []int, opts Options,
 // of {base} ∪ rebuilt candidates. It is the selection-quality signal the
 // policy trainer optimises (examples/training).
 func StepHypervolume(net tree.Net, base *tree.Tree, sel []int, ref pareto.Sol) (float64, error) {
-	subFront, err := subFrontier(context.Background(), net, sel, Options{}, nil, nil)
+	var opts Options
+	if err := opts.Resolve(); err != nil {
+		return 0, err
+	}
+	subFront, err := subFrontier(context.Background(), net, sel, opts, nil, nil)
 	if err != nil {
 		return 0, err
 	}

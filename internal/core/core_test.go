@@ -7,6 +7,7 @@ import (
 
 	"patlabor/internal/dw"
 	"patlabor/internal/geom"
+	"patlabor/internal/lut"
 	"patlabor/internal/pareto"
 	"patlabor/internal/rsma"
 	"patlabor/internal/rsmt"
@@ -176,6 +177,36 @@ func TestRouteErrors(t *testing.T) {
 	}
 	if _, err := RouteContext(context.Background(), net, Options{Lambda: dw.MaxExactDegree + 1}); err == nil {
 		t.Fatal("oversized lambda accepted")
+	}
+}
+
+// TestResolve pins the one place λ and the table get their defaults:
+// λ = 0 becomes DefaultLambda, a nil table the shared default table,
+// resolving twice changes nothing, and an out-of-range λ is rejected by
+// Resolve and by every entry point that resolves, WindowFrontier
+// included.
+func TestResolve(t *testing.T) {
+	var opts Options
+	if err := opts.Resolve(); err != nil {
+		t.Fatal(err)
+	}
+	if opts.Lambda != DefaultLambda || opts.Table != lut.Default() {
+		t.Fatalf("resolved λ %d, table %p; want %d, %p", opts.Lambda, opts.Table, DefaultLambda, lut.Default())
+	}
+	own := lut.New()
+	again := Options{Lambda: 4, Table: own}
+	if err := again.Resolve(); err != nil || again.Lambda != 4 || again.Table != own {
+		t.Fatalf("resolving set options changed them: λ %d, err %v", again.Lambda, err)
+	}
+	net := tree.NewNet(geom.Pt(0, 0), geom.Pt(1, 1), geom.Pt(3, 2))
+	for _, lambda := range []int{-1, 1, dw.MaxExactDegree + 1} {
+		bad := Options{Lambda: lambda}
+		if err := bad.Resolve(); err == nil {
+			t.Fatalf("Resolve accepted lambda %d", lambda)
+		}
+		if _, err := WindowFrontier(context.Background(), net, []int{0, 1, 2}, Options{Lambda: lambda}); err == nil {
+			t.Fatalf("WindowFrontier accepted lambda %d", lambda)
+		}
 	}
 }
 

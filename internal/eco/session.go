@@ -9,7 +9,6 @@ import (
 	"patlabor/internal/core"
 	"patlabor/internal/geom"
 	"patlabor/internal/hanan"
-	"patlabor/internal/lut"
 	"patlabor/internal/pareto"
 	"patlabor/internal/tree"
 )
@@ -70,33 +69,26 @@ type Stats struct {
 	CacheInvalidations int64
 }
 
-// NewSession builds a session from resolved core options. A nil
-// opts.Table uses the shared default table; a nil opts.Cache (with
-// caching on) gets a private sub-frontier memo. NoCache disables both
-// the sub-frontier memo and the net-level memo — reroutes then exercise
-// only the identity fast path, proving results never depend on cache
-// state.
+// NewSession builds a session from core options, resolving them (see
+// core.Options.Resolve); a nil opts.Cache (with caching on) gets a
+// private sub-frontier memo. NoCache disables both the sub-frontier memo
+// and the net-level memo — reroutes then exercise only the identity fast
+// path, proving results never depend on cache state.
 func NewSession(opts core.Options) (*Session, error) {
-	lambda, err := core.ResolveLambda(opts.Lambda)
-	if err != nil {
+	if err := opts.Resolve(); err != nil {
 		return nil, fmt.Errorf("eco: %w", err)
 	}
-	copts := opts
-	copts.Lambda = lambda
-	if copts.Table == nil {
-		copts.Table = lut.Default()
-	}
-	copts.Trace = nil
+	opts.Trace = nil
 	var memo *core.SubCache
 	if opts.NoCache {
-		copts.Cache = nil
+		opts.Cache = nil
 	} else {
-		if copts.Cache == nil {
-			copts.Cache = core.NewSubCache(0)
+		if opts.Cache == nil {
+			opts.Cache = core.NewSubCache(0)
 		}
 		memo = core.NewSubCache(DefaultMemoEntries)
 	}
-	return &Session{copts: copts, memo: memo}, nil
+	return &Session{copts: opts, memo: memo}, nil
 }
 
 // SubCache returns the session's shared sub-frontier memo (nil iff the

@@ -60,7 +60,7 @@ func (e *Engine) planDedup(nets []tree.Net) (assigns []dupAssign, hits, misses i
 		if n < 2 {
 			continue // trivial nets: routing is cheaper than keying
 		}
-		key.Set(net, core.NetCanonical(n, e.lambda, e.table))
+		key.Set(net, core.NetCanonical(n, e.opts.Lambda, e.opts.Table))
 		cands := groups[string(key.Bytes())]
 		matched := false
 		for _, c := range cands {

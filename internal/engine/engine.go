@@ -78,8 +78,9 @@ type Options struct {
 	// NoCache disables the batch's caches: the sub-frontier memo shared
 	// across workers (core.SubCache) and the batch-level net dedup.
 	// Results are byte-identical either way; the flag exists for A-B
-	// benchmarking and for memory-predictable runs. It only affects the
-	// patlabor method — baselines use neither cache.
+	// benchmarking and for memory-predictable runs. It affects the
+	// patlabor and hier methods, which use both caches (patlabor's eco
+	// session also drops its net memo); baselines use neither.
 	NoCache bool
 }
 
@@ -88,54 +89,27 @@ type Options struct {
 type Engine struct {
 	method  method.Method
 	workers int
-	table   *lut.Table
-	// lambda is the resolved small-net threshold; planDedup needs it to
-	// decide which nets the lookup table answers (and may therefore be
-	// deduped across symmetries, not just translations).
-	lambda int
-	// dedup enables the batch-level net dedup; set only for the patlabor
-	// method with caching on (baseline methods' tie-breaks have no
-	// verified equivariance contract).
-	dedup bool
-	// subCache is the sub-frontier memo shared by every worker and every
-	// RouteAll call of this engine; nil when caching is off or the method
-	// never runs the local search.
-	subCache *core.SubCache
-	// eco is the incremental-rerouting session (nil for baseline
-	// methods). It shares subCache, so reroutes and batch routes warm
-	// the same window memo.
-	eco *eco.Session
-	// baseEco rebases the eco counters on Reset.
-	baseEco eco.Stats
-	// hier collects the hierarchical router's cluster counters (nil for
-	// every other method); baseHier rebases the additive ones on Reset.
-	hier     *hier.Counters
-	baseHier hier.CounterSnapshot
-	// base subtracts table traffic that predates this engine (the lut
-	// counters are per-table, and the default table is shared
-	// process-wide).
-	base tableCounters
-	// baseSubHits/baseSubMisses rebase the sub-frontier counters on Reset
-	// (the SubCache is private to the engine, but Reset must still zero
-	// the snapshot).
-	baseSubHits, baseSubMisses int64
+	// opts is the one routing configuration: the patlabor method, the eco
+	// session and the hier router all route with it. For those methods it
+	// is resolved (λ and Table set), and Cache is the sub-frontier memo
+	// shared by every worker and every batch, nil iff NoCache; a non-nil
+	// Cache also enables the batch-level net dedup (baseline methods'
+	// tie-breaks have no verified equivariance contract). For baseline
+	// methods it is unresolved, so Table is the table passed in, if any —
+	// the only table whose traffic the engine then counts.
+	opts core.Options
+	// eco is the incremental-rerouting session (patlabor method only); it
+	// shares opts.Cache, so reroutes and batch routes warm the same window
+	// memo. hier collects the hierarchical router's cluster counters (hier
+	// method only).
+	eco  *eco.Session
+	hier *hier.Counters
+	// base holds the counters the engine reads but does not own (see
+	// readExternal) as of New or the last Reset; Stats subtracts it.
+	base Stats
 
 	mu    sync.Mutex
 	stats Stats
-}
-
-// tableCounters is one snapshot of a lookup table's atomic query counters.
-type tableCounters struct {
-	hits, misses, errs      int64
-	evaluated, materialized int64
-}
-
-func snapshotTable(t *lut.Table) tableCounters {
-	var c tableCounters
-	c.hits, c.misses = t.Counters()
-	c.errs = t.QueryErrors()
-	c.evaluated, c.materialized = t.EvalCounters()
-	return c
 }
 
 // New builds an engine, resolving the routing method against the registry
@@ -146,125 +120,67 @@ func New(opts Options) (*Engine, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	table := opts.Table
-	if table == nil && opts.TablePath != "" {
-		table = lut.New()
-		if err := table.LoadFile(opts.TablePath); err != nil {
+	copts := core.Options{
+		Lambda:     opts.Lambda,
+		Iterations: opts.Iterations,
+		Table:      opts.Table,
+		Params:     opts.Params,
+		NoCache:    opts.NoCache,
+	}
+	if copts.Table == nil && opts.TablePath != "" {
+		t, err := lut.Open(opts.TablePath)
+		if err != nil {
 			return nil, fmt.Errorf("engine: loading table: %w", err)
 		}
-		for d := 2; d <= lut.DefaultEagerDegree; d++ {
-			if !table.Covers(d) {
-				if err := table.Generate(d, 0); err != nil {
-					return nil, err
-				}
-			}
-		}
+		copts.Table = t
 	}
 	name := opts.Method
 	if name == "" {
 		name = "patlabor"
 	}
-	var m method.Method
-	counting := table
-	var subCache *core.SubCache
-	var session *eco.Session
-	var hierStats *hier.Counters
-	dedup := false
-	key := method.Key(name)
-	isHier := key == "hier" || key == "hierarchical"
-	lambda := 0
-	if key == "patlabor" || isHier {
-		var err error
-		if lambda, err = core.ResolveLambda(opts.Lambda); err != nil {
+	e := &Engine{workers: workers}
+	switch key := method.Key(name); key {
+	case "patlabor", "hier", "hierarchical":
+		// Resolving the shared table now (first use generates the eager
+		// degrees) lands that cost in construction, not mid-batch.
+		if err := copts.Resolve(); err != nil {
 			return nil, fmt.Errorf("engine: %w", err)
 		}
-	}
-	if key == "patlabor" {
 		if !opts.NoCache {
-			subCache = core.NewSubCache(0)
-			dedup = true
+			copts.Cache = core.NewSubCache(0)
 		}
-		// PatLabor routes with this engine's resolved core options; the
-		// registry entry would use the defaults.
-		m = method.PatLabor(core.Options{
-			Lambda:     opts.Lambda,
-			Iterations: opts.Iterations,
-			Table:      table,
-			Params:     opts.Params,
-			Cache:      subCache,
-			NoCache:    opts.NoCache,
-		})
-		// The eco session shares the engine's table and window memo; a
-		// NoCache engine gets a cacheless session (identity fast path
-		// only), proving reroute results never depend on cache state.
-		var err error
-		session, err = eco.NewSession(core.Options{
-			Lambda:     opts.Lambda,
-			Iterations: opts.Iterations,
-			Table:      table,
-			Params:     opts.Params,
-			Cache:      subCache,
-			NoCache:    opts.NoCache,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if counting == nil {
-			// Resolve the shared table now (first use generates the eager
-			// degrees), so that cost lands in construction, not mid-batch.
-			counting = lut.Default()
-		}
-	} else if isHier {
-		if !opts.NoCache {
-			subCache = core.NewSubCache(0)
+		if key == "patlabor" {
+			e.method = method.PatLabor(copts)
+			// A NoCache engine gets a cacheless session (identity fast path
+			// only), proving reroute results never depend on cache state.
+			session, err := eco.NewSession(copts)
+			if err != nil {
+				return nil, err
+			}
+			e.eco = session
+		} else {
 			// The hierarchical pipeline is translation-equivariant end to
 			// end (the partition compares coordinates, the port choice
 			// compares distances, and the window solves inherit core's
 			// contract), and nets small enough for the canonical 'S' key
 			// route flat through core — so the batch dedup's guarantees
 			// hold for hier exactly as for patlabor.
-			dedup = true
+			e.hier = &hier.Counters{}
+			e.method = method.Hier(hier.Options{Workers: workers, Core: copts, Stats: e.hier})
 		}
-		hierStats = &hier.Counters{}
-		m = method.Hier(hier.Options{
-			Workers: workers,
-			Core: core.Options{
-				Lambda:     opts.Lambda,
-				Iterations: opts.Iterations,
-				Table:      table,
-				Params:     opts.Params,
-				Cache:      subCache,
-				NoCache:    opts.NoCache,
-			},
-			Stats: hierStats,
-		})
-		if counting == nil {
-			counting = lut.Default()
-		}
-	} else {
-		mm, ok := method.Get(name)
+	default:
+		m, ok := method.Get(name)
 		if !ok {
 			return nil, fmt.Errorf("engine: unknown method %q (have %s)",
 				name, strings.Join(method.Names(), ", "))
 		}
-		// Baseline methods never consult the lookup table; leave counting
-		// nil (unless a table was passed explicitly) so a salt/ysd engine
-		// does not pay for eager table generation.
-		m = mm
+		// Baseline methods never consult the lookup table; leaving Table
+		// nil (unless one was passed) spares a salt/ysd engine the eager
+		// table generation.
+		e.method = m
 	}
-	e := &Engine{
-		method:   m,
-		workers:  workers,
-		table:    counting,
-		lambda:   lambda,
-		dedup:    dedup,
-		subCache: subCache,
-		eco:      session,
-		hier:     hierStats,
-	}
-	if counting != nil {
-		e.base = snapshotTable(counting)
-	}
+	e.opts = copts
+	e.readExternal(&e.base)
 	return e, nil
 }
 
@@ -281,143 +197,183 @@ func (e *Engine) Method() string { return e.method.Name() }
 // their next iteration check, the results are nil and ctx.Err() is
 // returned.
 func (e *Engine) RouteAll(ctx context.Context, nets []tree.Net) ([]Result, error) {
+	b := batch{n: len(nets)}
 	var assigns []dupAssign
-	var dedupHits, dedupMisses int64
-	if e.dedup && len(nets) > 1 {
-		assigns, dedupHits, dedupMisses = e.planDedup(nets)
+	if e.opts.Cache != nil && len(nets) > 1 {
+		assigns, b.dedupHits, b.dedupMisses = e.planDedup(nets)
 	}
 	methodName := e.method.Name()
 	out := make([]Result, len(nets))
-	local := make([]paddedCollector, e.workers)
-	start := time.Now()
-	err := pool.Each(ctx, len(nets), e.workers, func(worker, i int) error {
-		if assigns != nil && assigns[i].rep != i {
-			return nil // synthesized from its representative after the pass
-		}
-		t0 := time.Now()
-		var cands Result
-		var ferr error
+	b.route = func(ctx context.Context, i int) (int, error) {
+		var err error
 		pprof.Do(ctx, pprof.Labels(
 			"patlabor_method", methodName,
 			"patlabor_degree", degreeBucket(nets[i].Degree()),
 		), func(ctx context.Context) {
-			cands, ferr = e.method.Frontier(ctx, nets[i])
+			out[i], err = e.method.Frontier(ctx, nets[i])
 		})
-		if ferr != nil {
-			local[worker].errs++
-			return fmt.Errorf("engine: net %d: %w", i, ferr)
+		return nets[i].Degree(), err
+	}
+	if assigns != nil {
+		// Synthesize the duplicates from their representatives' frontiers
+		// after the pass. Serial: each is a handful of small-tree clones
+		// through an isometry.
+		b.skip = func(i int) bool { return assigns[i].rep != i }
+		b.serial = func(dups *collector) error {
+			for i, a := range assigns {
+				// The synthesis pass can span thousands of nets; a cancelled
+				// batch must stop here too, not just in the worker pool.
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				if a.rep == i {
+					continue
+				}
+				t0 := time.Now()
+				src := out[a.rep]
+				res := make(Result, len(src))
+				for j, item := range src {
+					res[j] = pareto.Item[*tree.Tree]{Sol: item.Sol, Val: a.iso.ApplyTree(item.Val)}
+				}
+				out[i] = res
+				dups.record(nets[i].Degree(), time.Since(t0))
+			}
+			return nil
 		}
-		local[worker].record(nets[i].Degree(), time.Since(t0))
-		out[i] = cands
+	}
+	if err := e.run(ctx, b); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// batch is one pass of the engine's pooled loop (see run).
+type batch struct {
+	// n is the batch size. route(ctx, i) handles index i and returns the
+	// degree its time is recorded under.
+	n     int
+	route func(ctx context.Context, i int) (int, error)
+	// skip, when set, marks the indices the pooled pass leaves to serial,
+	// which runs after a successful pooled pass, inside the batch's wall
+	// time, recording into its own collector.
+	skip   func(i int) bool
+	serial func(*collector) error
+	// dedupHits and dedupMisses add to the stats with the collectors.
+	dedupHits, dedupMisses int64
+}
+
+// run is the engine's one pooled loop: RouteAll, Track and RerouteBatch
+// all route through it. Each worker times its nets into a private
+// collector, and the serial pass into the last one. A failed net — a
+// returned error or a panic — counts in Errors and fails the batch as
+// "engine: net i: …", the lowest failed index winning (pool.Each). The
+// collectors merge in order, with the batch and its wall time, under the
+// engine lock.
+func (e *Engine) run(ctx context.Context, b batch) error {
+	methodName := e.method.Name()
+	local := make([]paddedCollector, e.workers+1)
+	start := time.Now()
+	err := pool.Each(ctx, b.n, e.workers, func(worker, i int) error {
+		if b.skip != nil && b.skip(i) {
+			return nil
+		}
+		t0 := time.Now()
+		degree, err := guard(ctx, i, b.route)
+		if err != nil {
+			local[worker].errs++
+			return fmt.Errorf("engine: net %d: %w", i, err)
+		}
+		local[worker].record(degree, time.Since(t0))
 		return nil
 	})
-	// Synthesize the duplicates from their representatives' frontiers.
-	// Serial: each is a handful of small-tree clones through an isometry.
-	var dups collector
-	if err == nil && assigns != nil {
-		for i := range assigns {
-			// The synthesis pass can span thousands of nets; a cancelled
-			// batch must stop here too, not just in the worker pool.
-			if err = ctx.Err(); err != nil {
-				break
-			}
-			a := assigns[i]
-			if a.rep == i {
-				continue
-			}
-			t0 := time.Now()
-			src := out[a.rep]
-			res := make(Result, len(src))
-			for j, item := range src {
-				res[j] = pareto.Item[*tree.Tree]{Sol: item.Sol, Val: a.iso.ApplyTree(item.Val)}
-			}
-			out[i] = res
-			dups.record(nets[i].Degree(), time.Since(t0))
-		}
+	if err == nil && b.serial != nil {
+		err = b.serial(&local[e.workers].collector)
 	}
 	elapsed := time.Since(start)
 
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	for w := range local {
 		e.stats.merge(methodName, &local[w].collector)
 	}
-	if dups.nets > 0 {
-		e.stats.merge(methodName, &dups)
-	}
-	e.stats.DedupHits += dedupHits
-	e.stats.DedupMisses += dedupMisses
+	e.stats.DedupHits += b.dedupHits
+	e.stats.DedupMisses += b.dedupMisses
 	e.stats.Batches++
 	e.stats.Elapsed += elapsed
-	e.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return err
+}
+
+// guard calls route(ctx, i), returning a panic in it as its error, so a
+// net that panics fails like any other net.
+func guard(ctx context.Context, i int, route func(context.Context, int) (int, error)) (degree int, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	return route(ctx, i)
 }
 
 // Stats returns a snapshot of the engine's cumulative counters. The
 // lookup-table counters stay zero for engines whose method never
 // consults a table.
 func (e *Engine) Stats() Stats {
-	var cur tableCounters
-	if e.table != nil {
-		cur = snapshotTable(e.table)
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s := e.stats.clone()
-	if e.table != nil {
-		s.CacheHits = cur.hits - e.base.hits
-		s.CacheMisses = cur.misses - e.base.misses
-		s.CacheErrors = cur.errs - e.base.errs
-		s.ToposEvaluated = cur.evaluated - e.base.evaluated
-		s.TreesMaterialized = cur.materialized - e.base.materialized
-		s.TableColdStart, s.TableMappedBytes = e.table.LoadInfo()
-	}
-	if e.subCache != nil {
-		h, m := e.subCache.Counters()
-		s.SubFrontierHits = h - e.baseSubHits
-		s.SubFrontierMisses = m - e.baseSubMisses
-	}
-	if e.eco != nil {
-		es := e.eco.Stats()
-		s.EcoHits = es.EcoHits - e.baseEco.EcoHits
-		s.EcoFullReroutes = es.FullReroutes - e.baseEco.FullReroutes
-		s.DirtySubtrees = es.DirtySubtrees - e.baseEco.DirtySubtrees
-		s.CacheInvalidations = es.CacheInvalidations - e.baseEco.CacheInvalidations
-	}
-	if e.hier != nil {
-		hs := e.hier.Snapshot()
-		s.HierNets = hs.Nets - e.baseHier.Nets
-		s.HierFlat = hs.Flat - e.baseHier.Flat
-		s.HierClusters = hs.Clusters - e.baseHier.Clusters
-		s.HierSingletons = hs.Singletons - e.baseHier.Singletons
-		// High-water marks do not rebase.
-		s.HierMaxCluster = hs.MaxCluster
-		s.HierMaxLevels = hs.MaxLevels
+	e.readExternal(&s)
+	cur, base := rebased(&s), rebased(&e.base)
+	for i, c := range cur {
+		*c -= *base[i]
 	}
 	return s
 }
 
-// Reset zeroes the engine's counters (cache counters rebase to the
-// table's current values).
+// Reset zeroes the engine's counters (the counters it does not own
+// rebase to their current values).
 func (e *Engine) Reset() {
-	var cur tableCounters
-	if e.table != nil {
-		cur = snapshotTable(e.table)
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.stats = Stats{}
-	e.base = cur
-	if e.subCache != nil {
-		e.baseSubHits, e.baseSubMisses = e.subCache.Counters()
+	e.readExternal(&e.base)
+}
+
+// readExternal reads into s the counters the engine does not own: those
+// of the lookup table, the sub-frontier memo, the eco session and the
+// hier router, as cumulative totals. Fields whose source the engine
+// lacks are left alone.
+func (e *Engine) readExternal(s *Stats) {
+	if t := e.opts.Table; t != nil {
+		s.CacheHits, s.CacheMisses = t.Counters()
+		s.CacheErrors = t.QueryErrors()
+		s.ToposEvaluated, s.TreesMaterialized = t.EvalCounters()
+		s.TableColdStart, s.TableMappedBytes = t.LoadInfo()
+	}
+	if c := e.opts.Cache; c != nil {
+		s.SubFrontierHits, s.SubFrontierMisses = c.Counters()
 	}
 	if e.eco != nil {
-		e.baseEco = e.eco.Stats()
+		es := e.eco.Stats()
+		s.EcoHits, s.EcoFullReroutes = es.EcoHits, es.FullReroutes
+		s.DirtySubtrees, s.CacheInvalidations = es.DirtySubtrees, es.CacheInvalidations
 	}
 	if e.hier != nil {
-		e.baseHier = e.hier.Snapshot()
+		hs := e.hier.Snapshot()
+		s.HierNets, s.HierFlat = hs.Nets, hs.Flat
+		s.HierClusters, s.HierSingletons = hs.Clusters, hs.Singletons
+		s.HierMaxCluster, s.HierMaxLevels = hs.MaxCluster, hs.MaxLevels
+	}
+}
+
+// rebased points at the fields of s that rebase on Reset: every counter
+// readExternal reads except the table's load info and the hier high-water
+// marks, which describe the table and the router, not the batches.
+func rebased(s *Stats) [15]*int64 {
+	return [15]*int64{
+		&s.CacheHits, &s.CacheMisses, &s.CacheErrors, &s.ToposEvaluated, &s.TreesMaterialized,
+		&s.SubFrontierHits, &s.SubFrontierMisses,
+		&s.EcoHits, &s.EcoFullReroutes, &s.DirtySubtrees, &s.CacheInvalidations,
+		&s.HierNets, &s.HierFlat, &s.HierClusters, &s.HierSingletons,
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"patlabor/internal/core"
+	"patlabor/internal/eco"
 	"patlabor/internal/geom"
 	"patlabor/internal/lut"
 	"patlabor/internal/netgen"
@@ -181,9 +182,10 @@ func TestNewRejectsLambda(t *testing.T) {
 }
 
 // TestRouteAllOverflowPanicIsError routes nets whose coordinates sit
-// near ±2^62, where the router's int64 arithmetic panics, on two
-// workers: the batch must fail with the lowest net's error instead of
-// the panic killing the process.
+// near ±2^62, where the router's int64 arithmetic panics, on one and on
+// two workers: the batch must fail with the lowest net's error, prefixed
+// like any other net failure and counted in Errors, instead of the panic
+// killing the process.
 func TestRouteAllOverflowPanicIsError(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	nets := make([]tree.Net, 2)
@@ -194,12 +196,81 @@ func TestRouteAllOverflowPanicIsError(t *testing.T) {
 		}
 		nets[i] = tree.Net{Pins: pins}
 	}
-	_, err := RouteAll(context.Background(), nets, Options{Workers: 2})
-	if err == nil {
-		t.Fatal("overflowing nets routed without error")
+	for _, workers := range []int{1, 2} {
+		e, err := New(Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = e.RouteAll(context.Background(), nets)
+		if err == nil {
+			t.Fatalf("workers=%d: overflowing nets routed without error", workers)
+		}
+		if !strings.HasPrefix(err.Error(), "engine: net 0: ") {
+			t.Fatalf("workers=%d: error %q does not name the lowest failed net", workers, err)
+		}
+		if s := e.Stats(); s.Errors < 1 {
+			t.Fatalf("workers=%d: panicking net not counted: Errors = %d", workers, s.Errors)
+		}
 	}
-	if !strings.Contains(err.Error(), "index 0") && !strings.Contains(err.Error(), "net 0") {
-		t.Fatalf("error %q does not name the lowest failed net", err)
+}
+
+// TestBatchAccounting checks the pooled loop's failure accounting on
+// every entry point, at one and at two workers: a batch with one failing
+// net — an empty net for RouteAll and Track, an invalid edit for
+// RerouteBatch — fails with that net's index behind the "engine: net i:"
+// prefix, counts the failure in Errors and still counts as one batch.
+func TestBatchAccounting(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(21))
+	const bad = 2
+	nets := make([]tree.Net, 5)
+	for i := range nets {
+		nets[i] = netgen.Uniform(rng, 3+i, 1000)
+	}
+	withEmpty := append([]tree.Net(nil), nets...)
+	withEmpty[bad] = tree.Net{}
+	cases := []struct {
+		name string
+		// prepare readies e and returns the failing batch call.
+		prepare func(t *testing.T, e *Engine) func() error
+	}{
+		{"RouteAll", func(t *testing.T, e *Engine) func() error {
+			return func() error { _, err := e.RouteAll(ctx, withEmpty); return err }
+		}},
+		{"Track", func(t *testing.T, e *Engine) func() error {
+			return func() error { _, err := e.Track(ctx, withEmpty); return err }
+		}},
+		{"RerouteBatch", func(t *testing.T, e *Engine) func() error {
+			handles, err := e.Track(ctx, nets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edits := make([][]eco.Edit, len(nets))
+			for i := range edits {
+				edits[i] = []eco.Edit{eco.MovePin(1, geom.Pt(int64(7*i), 3))}
+			}
+			edits[bad] = []eco.Edit{eco.MovePin(99, geom.Pt(0, 0))}
+			return func() error { _, err := e.RerouteBatch(ctx, handles, edits); return err }
+		}},
+	}
+	for _, c := range cases {
+		for _, workers := range []int{1, 2} {
+			e, err := New(Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			call := c.prepare(t, e)
+			before := e.Stats()
+			err = call()
+			if err == nil || !strings.HasPrefix(err.Error(), fmt.Sprintf("engine: net %d: ", bad)) {
+				t.Fatalf("%s workers=%d: error %v, want the prefix of net %d", c.name, workers, err, bad)
+			}
+			after := e.Stats()
+			if after.Errors < 1 || after.Batches != before.Batches+1 {
+				t.Fatalf("%s workers=%d: Errors %d, Batches %d → %d; want Errors ≥ 1 and one more batch",
+					c.name, workers, after.Errors, before.Batches, after.Batches)
+			}
+		}
 	}
 }
 

@@ -3,10 +3,8 @@ package engine
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"patlabor/internal/eco"
-	"patlabor/internal/pool"
 	"patlabor/internal/tree"
 )
 
@@ -26,21 +24,11 @@ func (e *Engine) Track(ctx context.Context, nets []tree.Net) ([]*eco.Handle, err
 		return nil, fmt.Errorf("engine: method %q does not support incremental rerouting", e.method.Name())
 	}
 	handles := make([]*eco.Handle, len(nets))
-	methodName := e.method.Name()
-	local := make([]paddedCollector, e.workers)
-	start := time.Now()
-	err := pool.Each(ctx, len(nets), e.workers, func(worker, i int) error {
-		t0 := time.Now()
-		h, terr := e.eco.Track(ctx, nets[i])
-		if terr != nil {
-			local[worker].errs++
-			return fmt.Errorf("engine: net %d: %w", i, terr)
-		}
-		local[worker].record(nets[i].Degree(), time.Since(t0))
-		handles[i] = h
-		return nil
-	})
-	e.mergeBatch(methodName, local, time.Since(start))
+	err := e.run(ctx, batch{n: len(nets), route: func(ctx context.Context, i int) (int, error) {
+		var err error
+		handles[i], err = e.eco.Track(ctx, nets[i])
+		return nets[i].Degree(), err
+	}})
 	if err != nil {
 		return nil, err
 	}
@@ -60,35 +48,13 @@ func (e *Engine) RerouteBatch(ctx context.Context, handles []*eco.Handle, edits 
 		return nil, fmt.Errorf("engine: %d handles but %d edit batches", len(handles), len(edits))
 	}
 	out := make([]Result, len(handles))
-	methodName := e.method.Name()
-	local := make([]paddedCollector, e.workers)
-	start := time.Now()
-	err := pool.Each(ctx, len(handles), e.workers, func(worker, i int) error {
-		t0 := time.Now()
-		items, rerr := handles[i].Reroute(ctx, edits[i])
-		if rerr != nil {
-			local[worker].errs++
-			return fmt.Errorf("engine: net %d: %w", i, rerr)
-		}
-		local[worker].record(handles[i].Degree(), time.Since(t0))
-		out[i] = items
-		return nil
-	})
-	e.mergeBatch(methodName, local, time.Since(start))
+	err := e.run(ctx, batch{n: len(handles), route: func(ctx context.Context, i int) (int, error) {
+		var err error
+		out[i], err = handles[i].Reroute(ctx, edits[i])
+		return handles[i].Degree(), err
+	}})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// mergeBatch folds a batch's per-worker collectors and wall time into
-// the engine's cumulative stats.
-func (e *Engine) mergeBatch(methodName string, local []paddedCollector, elapsed time.Duration) {
-	e.mu.Lock()
-	for w := range local {
-		e.stats.merge(methodName, &local[w].collector)
-	}
-	e.stats.Batches++
-	e.stats.Elapsed += elapsed
-	e.mu.Unlock()
 }

@@ -24,9 +24,6 @@ func (g *Grid) applySegs(segs []CellSeg, delta int) {
 	}
 }
 
-// AddEmbedding embeds e, increasing edge usage.
-func (g *Grid) AddEmbedding(e *TreeEmbedding) { g.applySegs(e.Segs, 1) }
-
 // RemoveEmbedding un-embeds e.
 func (g *Grid) RemoveEmbedding(e *TreeEmbedding) { g.applySegs(e.Segs, -1) }
 
@@ -143,7 +140,7 @@ func (g *Grid) EmbedBest(t *tree.Tree, maxJogs int) *TreeEmbedding {
 // Reroute rip-up-and-re-embeds every tree with pattern routing for the
 // given number of passes and returns the resulting embeddings. The trees
 // must already be embedded via the returned embeddings of a previous
-// EmbedBest/AddEmbedding round — for convenience, pass nil embeddings to
+// EmbedBest or Reroute round — for convenience, pass nil embeddings to
 // start from scratch (trees are embedded first with plain L-shapes).
 func Reroute(g *Grid, trees []*tree.Tree, embeds []*TreeEmbedding, passes, maxJogs int) ([]*TreeEmbedding, error) {
 	if embeds == nil {

@@ -44,7 +44,6 @@ import (
 	"patlabor/internal/core"
 	"patlabor/internal/dw"
 	"patlabor/internal/geom"
-	"patlabor/internal/lut"
 	"patlabor/internal/pareto"
 	"patlabor/internal/pool"
 	"patlabor/internal/tree"
@@ -111,8 +110,7 @@ type config struct {
 
 func resolve(opts Options) (config, error) {
 	cfg := config{core: opts.Core, stats: opts.Stats}
-	lambda, err := core.ResolveLambda(opts.Core.Lambda)
-	if err != nil {
+	if err := cfg.core.Resolve(); err != nil {
 		return config{}, fmt.Errorf("hier: %w", err)
 	}
 	cs := opts.ClusterSize
@@ -121,15 +119,11 @@ func resolve(opts Options) (config, error) {
 		// window is answered symbolically (≈µs, not the ms-scale DP); when
 		// the table covers nothing useful, MinClusterSize keeps the DP
 		// windows tiny.
-		table := opts.Core.Table
-		if table == nil {
-			table = lut.Default()
-		}
 		cs = MinClusterSize
 		// One scan of the table's coverage set instead of λ Covers probes
 		// — with flat tables attached the covered set can reach degree 7+,
 		// and every extra covered degree grows the clusters for free.
-		if d := table.MaxCovered(lambda); d > cs {
+		if d := cfg.core.Table.MaxCovered(cfg.core.Lambda); d > cs {
 			cs = d
 		}
 	}

@@ -327,3 +327,35 @@ func TestLoadFileMissing(t *testing.T) {
 		t.Fatalf("err = %v, want not-exist", err)
 	}
 }
+
+// TestOpen checks the one table-file loader: the file's degrees answer
+// first, the eager degrees it lacks are generated behind it, so the
+// opened table covers what Default covers and answers like it, and a
+// missing file is an error.
+func TestOpen(t *testing.T) {
+	src := New()
+	if err := src.Generate(4, 0); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "t.plut")
+	if err := src.SaveFlatFile(path); err != nil {
+		t.Fatal(err)
+	}
+	tab, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tab.Close()
+	for d := 2; d <= DefaultEagerDegree; d++ {
+		if !tab.Covers(d) {
+			t.Fatalf("opened table does not cover eager degree %d", d)
+		}
+	}
+	if load, _ := tab.LoadInfo(); load <= 0 {
+		t.Fatal("opened table reports no file load")
+	}
+	compareTables(t, Default(), tab, []int{2, 3, 4, 5}, 10, 41)
+	if _, err := Open(filepath.Join(t.TempDir(), "nope.plut")); !os.IsNotExist(err) {
+		t.Fatalf("err = %v, want not-exist", err)
+	}
+}

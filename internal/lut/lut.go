@@ -700,13 +700,39 @@ const DefaultEagerDegree = 5
 func Default() *Table {
 	defaultTableOnce.Do(func() {
 		defaultTable = New()
-		for d := 2; d <= DefaultEagerDegree; d++ {
-			if err := defaultTable.Generate(d, 0); err != nil {
-				// Generation of tiny degrees cannot fail other than by
-				// programming error; surface it loudly.
-				panic(fmt.Sprintf("lut: generating default table degree %d: %v", d, err))
-			}
+		if err := defaultTable.generateEager(); err != nil {
+			// Generation of tiny degrees cannot fail other than by
+			// programming error; surface it loudly.
+			panic(fmt.Sprintf("lut: generating default table: %v", err))
 		}
 	})
 	return defaultTable
+}
+
+// Open returns a new table backed by the table file at path (see
+// LoadFile), with every degree up to DefaultEagerDegree that the file
+// does not cover generated behind it — the same coverage Default has.
+func Open(path string) (*Table, error) {
+	t := New()
+	if err := t.LoadFile(path); err != nil {
+		return nil, err
+	}
+	if err := t.generateEager(); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// generateEager generates every degree 2..DefaultEagerDegree that t does
+// not cover yet.
+func (t *Table) generateEager() error {
+	for d := 2; d <= DefaultEagerDegree; d++ {
+		if t.Covers(d) {
+			continue
+		}
+		if err := t.Generate(d, 0); err != nil {
+			return err
+		}
+	}
+	return nil
 }

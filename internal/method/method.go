@@ -105,17 +105,6 @@ func Names() []string {
 	return append([]string(nil), order...)
 }
 
-// All returns the registered methods in registration order.
-func All() []Method {
-	mu.RLock()
-	defer mu.RUnlock()
-	out := make([]Method, len(order))
-	for i, k := range order {
-		out[i] = registry[k]
-	}
-	return out
-}
-
 // Standard returns the §VI comparison entrants in table order: PatLabor,
 // SALT and YSD, plus Prim–Dijkstra and Pareto-KS when all is true.
 func Standard(all bool) []Method {

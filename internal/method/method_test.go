@@ -52,9 +52,6 @@ func TestRegistryNames(t *testing.T) {
 			t.Fatalf("Names()[%d] = %q, want %q (full: %v)", i, names[i], w, names)
 		}
 	}
-	if len(All()) != len(names) {
-		t.Fatalf("All() has %d methods for %d names", len(All()), len(names))
-	}
 }
 
 func TestStandardEntrants(t *testing.T) {

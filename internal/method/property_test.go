@@ -37,7 +37,8 @@ func TestRegistryFrontierProperties(t *testing.T) {
 		}
 	}
 	ctx := context.Background()
-	for _, m := range All() {
+	for _, name := range Names() {
+		m, _ := Get(name)
 		maxDeg := maxPropertyDegree(m.Name())
 		checked := 0
 		for i, net := range nets {

@@ -78,13 +78,13 @@ var registry = []*Analyzer{
 		Name:    RuleCtxBg,
 		Doc:     "no context.Background()/TODO() inside context-aware routing functions",
 		Classes: classRouting,
-		Run:     func(p *Pass) { checkCtxBg2(p) },
+		Run:     checkCtxBg,
 	},
 	{
 		Name:    RuleCtxLoop,
 		Doc:     "iteration-scale loops in context-aware functions must reach a cancellation check",
 		Classes: classRouting,
-		Run:     func(p *Pass) { checkCtxLoop2(p) },
+		Run:     checkCtxLoops,
 	},
 	{
 		Name:    RuleSharedMut,

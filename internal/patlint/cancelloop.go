@@ -16,35 +16,18 @@ import (
 // that calls a no-ctx-param member of that set without the loop ever
 // touching ctx is uncancellable routing work.
 //
-// Loops ctxloop already flags (loopIsHeavy) are skipped here so one
-// defect yields one finding.
+// Both rules walk the same uncovered loops (eachUncoveredLoop); the
+// loops ctxloop flags (loopIsHeavy) are skipped here so one defect
+// yields one finding.
 func checkCancelLoop(p *Pass) {
-	info := p.Pkg.Info
-	eachCtxFunc(p.Pkg, func(fd *ast.FuncDecl, ctxParams []types.Object) {
-		var walk func(n ast.Node, covered bool)
-		walk = func(n ast.Node, covered bool) {
-			switch s := n.(type) {
-			case *ast.FuncLit:
-				return
-			case *ast.ForStmt, *ast.RangeStmt:
-				body := loopBody(s)
-				loopCovered := covered || usesAnyObj(info, body, ctxParams)
-				if !loopCovered && !loopIsHeavy(info, body) {
-					if callee := hiddenCtxWork(info, p.Facts, body); callee != nil {
-						p.Reportf(n.Pos(),
-							"loop calls %s, which transitively reaches cancellable routing work, but never checks the context (use ctx.Err() or a ctx-taking variant)",
-							callee.Name())
-					}
-				}
-				for _, st := range body.List {
-					walk(st, loopCovered)
-				}
-				return
-			}
-			children(n, func(c ast.Node) { walk(c, covered) })
+	eachUncoveredLoop(p.Pkg, func(loop ast.Node, body *ast.BlockStmt) {
+		if loopIsHeavy(p.Pkg.Info, body) {
+			return
 		}
-		for _, st := range fd.Body.List {
-			walk(st, false)
+		if callee := hiddenCtxWork(p.Pkg.Info, p.Facts, body); callee != nil {
+			p.Reportf(loop.Pos(),
+				"loop calls %s, which transitively reaches cancellable routing work, but never checks the context (use ctx.Err() or a ctx-taking variant)",
+				callee.Name())
 		}
 	})
 }

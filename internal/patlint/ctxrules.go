@@ -1,9 +1,7 @@
 package patlint
 
 import (
-	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -21,20 +19,6 @@ import (
 //     the loop body, or an enclosing loop's body, must use the ctx
 //     parameter (ctx.Err(), or passing ctx onward). A cancelled batch
 //     must stop between iterations, not run a degree-9 DP to completion.
-
-// checkCtxBg2 is the ctxbg analyzer entry point.
-func checkCtxBg2(p *Pass) {
-	eachCtxFunc(p.Pkg, func(fd *ast.FuncDecl, ctxParams []types.Object) {
-		checkCtxBg(p.Pkg.Info, fd, p.report)
-	})
-}
-
-// checkCtxLoop2 is the ctxloop analyzer entry point.
-func checkCtxLoop2(p *Pass) {
-	eachCtxFunc(p.Pkg, func(fd *ast.FuncDecl, ctxParams []types.Object) {
-		checkCtxLoops(p.Pkg.Info, fd, ctxParams, p.report)
-	})
-}
 
 // eachCtxFunc invokes fn on every declared function of the package that
 // takes a context.Context parameter.
@@ -78,72 +62,68 @@ func isContextType(t types.Type) bool {
 	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
 }
 
-// checkCtxBg flags context.Background()/context.TODO() anywhere in the
-// body (closures included — a closure capturing ctx has no excuse either).
-func checkCtxBg(info *types.Info, fd *ast.FuncDecl, report func(token.Pos, string, string)) {
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || pkgNameOf(info, sel.X) != "context" {
-			return true
-		}
-		if name := sel.Sel.Name; name == "Background" || name == "TODO" {
-			report(call.Pos(), RuleCtxBg,
-				fmt.Sprintf("context.%s() inside a context-aware function severs cancellation; thread the ctx parameter", name))
-		}
-		return true
-	})
-}
-
-// checkCtxLoops walks the loops of fd (skipping closures, whose call
-// sites are unknown) and flags heavy, uncovered ones.
-func checkCtxLoops(info *types.Info, fd *ast.FuncDecl, ctxParams []types.Object, report func(token.Pos, string, string)) {
-	usesCtx := func(n ast.Node) bool {
-		found := false
-		ast.Inspect(n, func(m ast.Node) bool {
-			if found {
-				return false
+// checkCtxBg is the ctxbg analyzer: in every context-aware function it
+// flags context.Background()/context.TODO() anywhere in the body
+// (closures included — a closure capturing ctx has no excuse either).
+func checkCtxBg(p *Pass) {
+	eachCtxFunc(p.Pkg, func(fd *ast.FuncDecl, _ []types.Object) {
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
 			}
-			if id, ok := m.(*ast.Ident); ok {
-				obj := info.Uses[id]
-				for _, cp := range ctxParams {
-					if obj == cp {
-						found = true
-						return false
-					}
-				}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || pkgNameOf(p.Pkg.Info, sel.X) != "context" {
+				return true
+			}
+			if name := sel.Sel.Name; name == "Background" || name == "TODO" {
+				p.Reportf(call.Pos(), "context.%s() inside a context-aware function severs cancellation; thread the ctx parameter", name)
 			}
 			return true
 		})
-		return found
-	}
+	})
+}
 
-	var walk func(n ast.Node, covered bool)
-	walk = func(n ast.Node, covered bool) {
-		switch s := n.(type) {
-		case *ast.FuncLit:
-			return
-		case *ast.ForStmt, *ast.RangeStmt:
-			body := loopBody(s)
-			loopCovered := covered || usesCtx(body)
-			if !loopCovered && loopIsHeavy(info, body) {
-				report(n.Pos(), RuleCtxLoop,
-					"loop does iteration-scale work but never reaches a cancellation check (use ctx.Err() or pass ctx into the body)")
-			}
-			for _, st := range body.List {
-				walk(st, loopCovered)
-			}
-			return
+// checkCtxLoops is the ctxloop analyzer: it flags the uncovered loops
+// that do iteration-scale work (loopIsHeavy).
+func checkCtxLoops(p *Pass) {
+	eachUncoveredLoop(p.Pkg, func(loop ast.Node, body *ast.BlockStmt) {
+		if loopIsHeavy(p.Pkg.Info, body) {
+			p.Report(loop.Pos(), "loop does iteration-scale work but never reaches a cancellation check (use ctx.Err() or pass ctx into the body)")
 		}
-		// Generic recursion over non-loop nodes, preserving coverage.
-		children(n, func(c ast.Node) { walk(c, covered) })
-	}
-	for _, st := range fd.Body.List {
-		walk(st, false)
-	}
+	})
+}
+
+// eachUncoveredLoop calls fn on every for or range loop of every
+// context-aware function that never reaches a cancellation check: no ctx
+// parameter is used in its body or in any enclosing loop's body. Closures
+// are skipped, since their call sites are unknown. ctxloop and cancelloop
+// share this walk and split its loops between them.
+func eachUncoveredLoop(pkg *Package, fn func(loop ast.Node, body *ast.BlockStmt)) {
+	eachCtxFunc(pkg, func(fd *ast.FuncDecl, ctxParams []types.Object) {
+		var walk func(n ast.Node, covered bool)
+		walk = func(n ast.Node, covered bool) {
+			switch n.(type) {
+			case *ast.FuncLit:
+				return
+			case *ast.ForStmt, *ast.RangeStmt:
+				body := loopBody(n)
+				covered = covered || usesAnyObj(pkg.Info, body, ctxParams)
+				if !covered {
+					fn(n, body)
+				}
+				for _, st := range body.List {
+					walk(st, covered)
+				}
+				return
+			}
+			// Generic recursion over non-loop nodes, preserving coverage.
+			children(n, func(c ast.Node) { walk(c, covered) })
+		}
+		for _, st := range fd.Body.List {
+			walk(st, false)
+		}
+	})
 }
 
 // loopBody returns the block of a for or range statement.

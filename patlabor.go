@@ -149,17 +149,9 @@ func loadTable(path string) (*lut.Table, error) {
 	if t, ok := tableCache.tables[path]; ok {
 		return t, nil
 	}
-	t := lut.New()
-	if err := t.LoadFile(path); err != nil {
+	t, err := lut.Open(path)
+	if err != nil {
 		return nil, fmt.Errorf("patlabor: loading table: %w", err)
-	}
-	// Merge the built-in eager degrees underneath.
-	for d := 2; d <= lut.DefaultEagerDegree; d++ {
-		if !t.Covers(d) {
-			if err := t.Generate(d, 0); err != nil {
-				return nil, err
-			}
-		}
 	}
 	if tableCache.tables == nil {
 		tableCache.tables = map[string]*lut.Table{}
