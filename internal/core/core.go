@@ -414,7 +414,7 @@ func rebuildWith(net tree.Net, base *tree.Tree, sel []int, sub *tree.Tree, ev *t
 			return nil, err
 		}
 	}
-	out.Graft(sub, out.Root)
+	out.GraftWith(sub, out.Root, ev)
 	out.CompactWith(ev)
 	if err := out.Validate(net); err != nil {
 		return nil, fmt.Errorf("core: rebuilt tree invalid: %w", err)

@@ -71,7 +71,8 @@ type Options struct {
 	// TablePath optionally loads a flat lookup-table file (.plut)
 	// produced by cmd/lutgen into a private table, memory-mapped
 	// read-only, with the built-in eager degrees generated behind it.
-	// Ignored when Table is set.
+	// Ignored when Table is set. Only the patlabor and hier methods open
+	// it: baselines ignore TablePath as they ignore Table.
 	TablePath string
 	// Params overrides the trained pin-selection policy weights.
 	Params *policy.Params
@@ -127,13 +128,6 @@ func New(opts Options) (*Engine, error) {
 		Params:     opts.Params,
 		NoCache:    opts.NoCache,
 	}
-	if copts.Table == nil && opts.TablePath != "" {
-		t, err := lut.Open(opts.TablePath)
-		if err != nil {
-			return nil, fmt.Errorf("engine: loading table: %w", err)
-		}
-		copts.Table = t
-	}
 	name := opts.Method
 	if name == "" {
 		name = "patlabor"
@@ -141,6 +135,13 @@ func New(opts Options) (*Engine, error) {
 	e := &Engine{workers: workers}
 	switch key := method.Key(name); key {
 	case "patlabor", "hier", "hierarchical":
+		if copts.Table == nil && opts.TablePath != "" {
+			t, err := lut.Open(opts.TablePath)
+			if err != nil {
+				return nil, fmt.Errorf("engine: loading table: %w", err)
+			}
+			copts.Table = t
+		}
 		// Resolving the shared table now (first use generates the eager
 		// degrees) lands that cost in construction, not mid-batch.
 		if err := copts.Resolve(); err != nil {
@@ -175,8 +176,8 @@ func New(opts Options) (*Engine, error) {
 				name, strings.Join(method.Names(), ", "))
 		}
 		// Baseline methods never consult the lookup table; leaving Table
-		// nil (unless one was passed) spares a salt/ysd engine the eager
-		// table generation.
+		// nil (unless one was passed) and TablePath unopened spares a
+		// salt/ysd engine the file load and the eager table generation.
 		e.method = m
 	}
 	e.opts = copts

@@ -359,6 +359,37 @@ func TestStatsTableLoad(t *testing.T) {
 	}
 }
 
+// TestBaselineIgnoresTablePath pins that a baseline engine never opens
+// its TablePath: no baseline queries a table, so loading the file (and
+// generating the eager degrees it lacks) would be wasted set-up, and the
+// stats would report a table load with no table traffic.
+func TestBaselineIgnoresTablePath(t *testing.T) {
+	src := lut.New()
+	if err := src.Generate(3, 0); err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/t.plut"
+	if err := src.SaveFlatFile(path); err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(Options{Workers: 1, Method: "salt", TablePath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(8))
+	nets := []tree.Net{netgen.Uniform(rng, 6, 500)}
+	if _, err := e.RouteAll(context.Background(), nets); err != nil {
+		t.Fatal(err)
+	}
+	s := e.Stats()
+	if s.TableColdStart != 0 {
+		t.Fatalf("salt engine reports TableColdStart %v; it should not open the table", s.TableColdStart)
+	}
+	if strings.Contains(s.String(), "LUT load") {
+		t.Fatalf("salt engine renders a LUT load line:\n%s", s.String())
+	}
+}
+
 // TestStatsConcurrent hammers Stats() while a batch is in flight (the
 // snapshot must be race-free under -race).
 func TestStatsConcurrent(t *testing.T) {

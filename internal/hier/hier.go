@@ -322,6 +322,9 @@ func combine(ctx context.Context, topNet tree.Net, topPins []int, topItems []par
 	picked := pareto.CapItems(final.Items(), cfg.maxSet)
 	refined := &pareto.Set[*tree.Tree]{}
 	chosen := make([]int32, len(fronts))
+	// portNode[ci] is the top-tree node realising cluster ci's port (the
+	// last one, should the port appear twice), -1 when it is missing.
+	portNode := make([]int, len(fronts))
 	for _, it := range picked {
 		// Materialization clones and grafts a full-size tree per survivor.
 		if err := ctx.Err(); err != nil {
@@ -333,25 +336,34 @@ func combine(ctx context.Context, topNet tree.Net, topPins []int, topItems []par
 		for c := it.Val.picks; c != nil; c = c.prev {
 			chosen[c.cluster] = c.item
 		}
-		t := topItems[it.Val.top].Val.Clone()
+		top := topItems[it.Val.top].Val
+		size := top.Len()
+		for ci, front := range fronts {
+			if front != nil {
+				size += front[chosen[ci]].Val.Len()
+			}
+		}
+		t := top.CloneCap(size)
 		if err := t.RelabelPins(topPins); err != nil {
 			return nil, err
 		}
-		portNode := make(map[int]int, len(ports))
-		for i, nd := range t.Nodes {
+		for i := range portNode {
+			portNode[i] = -1
+		}
+		for i, nd := range top.Nodes {
+			// Top-net pin k > 0 is cluster k-1's port.
 			if nd.Pin > 0 {
-				portNode[nd.Pin] = i
+				portNode[nd.Pin-1] = i
 			}
 		}
 		for ci, front := range fronts {
 			if front == nil {
 				continue
 			}
-			at, ok := portNode[ports[ci]]
-			if !ok {
+			if portNode[ci] < 0 {
 				return nil, fmt.Errorf("hier: port pin %d missing from top-level tree", ports[ci])
 			}
-			t.Graft(front[chosen[ci]].Val, at)
+			t.GraftWith(front[chosen[ci]].Val, portNode[ci], ev)
 		}
 		// The grafted tree realises the folded (W, D) exactly; Steinerize
 		// then shaves wirelength where top-level and cluster wires run in

@@ -93,7 +93,9 @@ func refRoute(ctx context.Context, net tree.Net, cfg config, level int) ([]paret
 }
 
 // refCombine is combine as it was before the fold went through
-// pareto.Join: every pair of acc × front is offered to a pareto.Set.
+// pareto.Join: every pair of acc × front is offered to a pareto.Set, and
+// each kept tree is grafted and Steinerized by the loops below, as they
+// were before both became incremental.
 func refCombine(ctx context.Context, topNet tree.Net, topPins []int, topItems []pareto.Item[*tree.Tree], ports []int, fronts [][]pareto.Item[*tree.Tree], cfg config) ([]pareto.Item[*tree.Tree], error) {
 	ev := tree.GetEvaluator()
 	defer tree.PutEvaluator(ev)
@@ -166,17 +168,75 @@ func refCombine(ctx context.Context, topNet tree.Net, topPins []int, topItems []
 			if !ok {
 				return nil, fmt.Errorf("hier: port pin %d missing from top-level tree", ports[ci])
 			}
-			t.Graft(front[chosen[ci]].Val, at)
+			refGraft(t, front[chosen[ci]].Val, at)
 		}
 		// The grafted tree realises the folded (W, D) exactly; Steinerize
 		// then shaves wirelength where top-level and cluster wires run in
 		// parallel, leaving every source-sink path length unchanged — so
 		// the re-evaluated solution dominates-or-equals the folded one and
 		// the re-filter below keeps the frontier canonical.
-		t.SteinerizeWith(ev)
+		refSteinerize(t, ev)
 		refined.Add(ev.Sol(t), t)
 	}
 	return refined.Items(), nil
+}
+
+// refGraft is tree.Graft as it was before it walked the evaluator's
+// order: a fresh index map and TopoOrder per call.
+func refGraft(t, sub *tree.Tree, at int) {
+	idx := make([]int, sub.Len())
+	for _, i := range sub.TopoOrder() {
+		nd := sub.Nodes[i]
+		if i == sub.Root {
+			if nd.P == t.Nodes[at].P {
+				idx[i] = at
+				if nd.Pin >= 0 && t.Nodes[at].IsSteiner() {
+					t.Nodes[at].Pin = nd.Pin
+				}
+			} else {
+				idx[i] = t.Add(nd.P, nd.Pin, at)
+			}
+			continue
+		}
+		idx[i] = t.Add(nd.P, nd.Pin, idx[sub.Parent[i]])
+	}
+}
+
+// refSteinerize is tree.SteinerizeWith as it was before it became
+// incremental: every insertion reloads the adjacency and rescans every
+// sibling pair of the tree for the first maximum saving.
+func refSteinerize(t *tree.Tree, e *tree.Evaluator) {
+	for {
+		e.Load(t)
+		bestGain := int64(0)
+		bestV, bestA, bestB := -1, -1, -1
+		var bestS geom.Point
+		for v := range t.Nodes {
+			kids := e.Children(v)
+			for i := 0; i < len(kids); i++ {
+				for j := i + 1; j < len(kids); j++ {
+					a, b := int(kids[i]), int(kids[j])
+					pv, pa, pb := t.Nodes[v].P, t.Nodes[a].P, t.Nodes[b].P
+					s := geom.Pt(med3(pv.X, pa.X, pb.X), med3(pv.Y, pa.Y, pb.Y))
+					gain := geom.Dist(pv, s)
+					if gain > bestGain {
+						bestGain, bestV, bestA, bestB, bestS = gain, v, a, b, s
+					}
+				}
+			}
+		}
+		if bestGain == 0 {
+			break
+		}
+		s := t.Add(bestS, -1, bestV)
+		t.Parent[bestA] = s
+		t.Parent[bestB] = s
+	}
+	t.CompactWith(e)
+}
+
+func med3(a, b, c int64) int64 {
+	return max(min(a, b), min(max(a, b), c))
 }
 
 // TestCombineMatchesReference asserts that the fold through pareto.Join

@@ -192,13 +192,16 @@ func divide(net tree.Net, pins []int, depth int) (nearPins, farPins []int) {
 func join(ctx context.Context, s1, s2 []pareto.Item[*tree.Tree], c int64, maxSet int) ([]pareto.Item[*tree.Tree], error) {
 	walk := pareto.Join(nil, pareto.AppendSols(nil, s1), pareto.AppendSols(nil, s2), 0, 0, c)
 	out := make([]pareto.Item[*tree.Tree], len(walk))
+	ev := tree.GetEvaluator()
+	defer tree.PutEvaluator(ev)
 	for k, w := range walk {
 		// Clone+graft work per point: honour cancellation between them.
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		t := s1[w.A].Val.Clone()
-		t.Graft(s2[w.B].Val, t.Root)
+		a, b := s1[w.A].Val, s2[w.B].Val
+		t := a.CloneCap(a.Len() + b.Len())
+		t.GraftWith(b, t.Root, ev)
 		out[k] = pareto.Item[*tree.Tree]{Sol: pareto.Sol{W: w.W + c, D: w.D}, Val: t}
 	}
 	return pareto.CapItems(out, maxSet), nil

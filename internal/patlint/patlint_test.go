@@ -1,17 +1,13 @@
 package patlint_test
 
 import (
-	"flag"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
 	"patlabor/internal/patlint"
 )
-
-var update = flag.Bool("update", false, "rewrite the golden files")
 
 // loader is shared across tests: the std-lib source importer re-checks
 // imported packages per Loader, so one instance keeps the suite fast.
@@ -22,64 +18,6 @@ var loader = sync.OnceValues(func() (*patlint.Loader, error) {
 	}
 	return patlint.NewLoader(wd)
 })
-
-// TestFixtureGolden runs each analyzer family over its seeded-violation
-// fixture and compares the diagnostics against the committed golden file.
-// The allowed fixture asserts the class gating: floats and map-order
-// leaks outside the exact/deterministic packages produce no findings.
-func TestFixtureGolden(t *testing.T) {
-	l, err := loader()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fixtures := []struct {
-		name      string
-		wantClean bool
-	}{
-		{"exactness", false},
-		{"determinism", false},
-		{"sorthygiene", false},
-		{"ctxrules", false},
-		{"ignore", false},
-		{"allowed", true},
-	}
-	for _, fx := range fixtures {
-		t.Run(fx.name, func(t *testing.T) {
-			diags, err := patlint.Check(l, []string{"internal/patlint/testdata/" + fx.name})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var lines []string
-			for _, d := range diags {
-				lines = append(lines, d.Format(l.Root))
-			}
-			got := strings.Join(lines, "\n")
-			if len(lines) > 0 {
-				got += "\n"
-			}
-			if fx.wantClean && got != "" {
-				t.Fatalf("fixture %s should be clean, got:\n%s", fx.name, got)
-			}
-			if !fx.wantClean && got == "" {
-				t.Fatalf("fixture %s produced no findings (driver would exit 0)", fx.name)
-			}
-			golden := filepath.Join("testdata", fx.name+".golden")
-			if *update {
-				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != string(want) {
-				t.Errorf("diagnostics mismatch (run `go test ./internal/patlint -update` after intended changes)\n--- got ---\n%s--- want ---\n%s", got, want)
-			}
-		})
-	}
-}
 
 // TestIgnoreSuppression pins the escape-hatch semantics: the ignore
 // fixture seeds four suppressed violations (same line, line above,

@@ -25,7 +25,7 @@ func wrapper(n int) int {
 // (no nested loop, no direct ctx-taking callee); cancelloop does.
 func BatchHidden(ctx context.Context, nets []int) int {
 	total := 0
-	for _, n := range nets { // want(cancelloop): transitively reaches cancellable routing work
+	for _, n := range nets { // want(cancelloop): loop calls wrapper, which transitively reaches cancellable routing work, but never checks the context (use ctx.Err() or a ctx-taking variant)
 		total += wrapper(n)
 	}
 	return total

@@ -16,14 +16,14 @@ func Work(ctx context.Context, n int) int {
 // Detached manufactures a root context inside a context-aware function —
 // a ctxbg finding.
 func Detached(ctx context.Context, n int) int {
-	return Work(context.Background(), n)
+	return Work(context.Background(), n) // want(ctxbg): context.Background() inside a context-aware function severs cancellation; thread the ctx parameter
 }
 
 // Sweep does nested-loop work without ever consulting ctx — a ctxloop
 // finding on the outer loop.
 func Sweep(ctx context.Context, xs []int) int {
 	s := 0
-	for _, x := range xs {
+	for _, x := range xs { // want(ctxloop): loop does iteration-scale work but never reaches a cancellation check (use ctx.Err() or pass ctx into the body)
 		for y := 0; y < x; y++ {
 			s += y
 		}
@@ -36,8 +36,8 @@ func Sweep(ctx context.Context, xs []int) int {
 // the loop.
 func CallsWithoutCtx(ctx context.Context, xs []int) int {
 	s := 0
-	for _, x := range xs {
-		s += Work(context.TODO(), x)
+	for _, x := range xs { // want(ctxloop): loop does iteration-scale work but never reaches a cancellation check (use ctx.Err() or pass ctx into the body)
+		s += Work(context.TODO(), x) // want(ctxbg): context.TODO() inside a context-aware function severs cancellation; thread the ctx parameter
 	}
 	return s
 }

@@ -4,7 +4,7 @@
 package determinism
 
 import (
-	"math/rand"
+	"math/rand" // want(nondet): import of math/rand in algorithm package (results must be deterministic; seed-free randomness is banned)
 	"slices"
 	"time"
 )
@@ -13,7 +13,7 @@ import (
 // finding.
 func Keys(m map[string]int) []string {
 	var out []string
-	for k := range m {
+	for k := range m { // want(maprange): map iteration order flows into "out" with no subsequent sort (output order is nondeterministic)
 		out = append(out, k)
 	}
 	return out
@@ -40,7 +40,7 @@ func Total(m map[string]int) int {
 
 // Stamp reads the wall clock — a nondet finding.
 func Stamp() int64 {
-	return time.Now().UnixNano()
+	return time.Now().UnixNano() // want(nondet): time.Now in algorithm package (wall-clock reads make runs nondeterministic)
 }
 
 // Jitter draws from math/rand — the import is the nondet finding.

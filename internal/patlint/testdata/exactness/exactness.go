@@ -8,7 +8,7 @@ import "math"
 // Scale routes a value through floating point — findings for the float64
 // conversion and the floating literal.
 func Scale(x int64) int64 {
-	f := float64(x) * 1.5
+	f := float64(x) * 1.5 // want(exact): use of float64 in exact package (int64 arithmetic only) // want(exact): floating-point literal 1.5 in exact package (int64 arithmetic only)
 	return int64(f)
 }
 
@@ -18,7 +18,7 @@ func Root(x int64) int64 {
 	if x > math.MaxInt64/2 {
 		return x
 	}
-	return int64(math.Sqrt(float64(x)))
+	return int64(math.Sqrt(float64(x))) // want(exact): math.Sqrt in exact package (floating-point math is banned; use exact int64 helpers) // want(exact): use of float64 in exact package (int64 arithmetic only)
 }
 
 // Exact is clean: int64 arithmetic only, and the multiply has a constant

@@ -13,12 +13,12 @@ func dist(x int64) int64 {
 
 // Price multiplies two unbounded int64 domain values.
 func Price(cost, d int64) int64 {
-	return cost * d // want(exactoverflow): multiply of two unbounded
+	return cost * d // want(exactoverflow): int64 multiply of two unbounded values "cost * d" (may wrap silently; use param.MulCheck or bound an operand)
 }
 
 // Pack shifts an unbounded value into the high bits.
 func Pack(w, d int64) int64 {
-	return w<<20 | d // want(exactoverflow): left shift of unbounded
+	return w<<20 | d // want(exactoverflow): left shift of unbounded int64 "w << 20" (may wrap silently; use param.ShiftCheck or bound the operand)
 }
 
 // SumDists accumulates an unbounded call result in a loop: the sum grows
@@ -26,7 +26,7 @@ func Pack(w, d int64) int64 {
 func SumDists(xs []int64) int64 {
 	var s int64
 	for _, x := range xs {
-		s += dist(x) // want(exactoverflow): accumulates unbounded int64 call result
+		s += dist(x) // want(exactoverflow): loop accumulates unbounded int64 call result into "s" (sum may wrap silently; use geom.AddCheck/param.AddCheck)
 	}
 	return s
 }
@@ -34,6 +34,6 @@ func SumDists(xs []int64) int64 {
 // ScaleInPlace compounds an unbounded product in place.
 func ScaleInPlace(prices []int64, rate int64) {
 	for i := range prices {
-		prices[i] *= rate // want(exactoverflow): *= of two unbounded
+		prices[i] *= rate // want(exactoverflow): int64 *= of two unbounded values (may wrap silently; use param.MulCheck or bound an operand)
 	}
 }

@@ -13,12 +13,12 @@ func pollForever() {
 
 // LaunchUnstoppable fires a named function nothing can stop.
 func LaunchUnstoppable() {
-	go pollForever() // want(goleak): no exit path
+	go pollForever() // want(goleak): goroutine pollForever loops with no exit path (no ctx reference, no channel operation); nothing can ever stop it
 }
 
 // LaunchLitUnstoppable is the same leak as a function literal.
 func LaunchLitUnstoppable() {
-	go func() { // want(goleak): no exit path
+	go func() { // want(goleak): goroutine loops with no exit path (no ctx reference, no channel operation); nothing can ever stop it
 		for {
 		}
 	}()
@@ -30,7 +30,7 @@ func Produce(vals []int) <-chan int {
 	out := make(chan int)
 	go func() {
 		for _, v := range vals {
-			out <- v // want(goleak): send on unbuffered channel
+			out <- v // want(goleak): send on unbuffered channel "out" outside a select: an abandoned receiver strands this goroutine forever (buffer to maximum occupancy or select on a done signal)
 		}
 		close(out)
 	}()

@@ -30,7 +30,7 @@ func Mean(xs []int64) float64 {
 }
 
 // Bad has no directive, so its float result type survives as a finding.
-func Bad() float64 {
+func Bad() float64 { // want(exact): use of float64 in exact package (int64 arithmetic only)
 	return 0
 }
 
@@ -38,4 +38,4 @@ func Bad() float64 {
 // it suppresses nothing.
 //
 //patlint:ignore exact
-var MissingReason = int64(1)
+var MissingReason = int64(1) // wantprev(ignore): ignore directive needs a rule and a reason: //patlint:ignore <rule> <reason>

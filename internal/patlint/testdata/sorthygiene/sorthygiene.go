@@ -10,8 +10,8 @@ import (
 
 // Reflective uses the banned reflection-based sorts — two findings.
 func Reflective(xs []int) {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
-	sort.SliceStable(xs, func(i, j int) bool { return xs[i] < xs[j] })
+	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })       // want(sortslice): sort.Slice uses the reflection-based swapper; use slices.SortFunc with an explicit total-order compare
+	sort.SliceStable(xs, func(i, j int) bool { return xs[i] < xs[j] }) // want(sortslice): sort.SliceStable uses the reflection-based swapper; use slices.SortStableFunc with an explicit total-order compare
 }
 
 // Monomorphic uses the blessed replacements — no findings.

@@ -25,23 +25,29 @@ func (t *Tree) RelabelPins(pinMap []int) error {
 // roots are merged. It returns the index in t of the node corresponding to
 // sub's root.
 func (t *Tree) Graft(sub *Tree, at int) int {
-	idx := make([]int, sub.Len())
-	var rootIdx int
-	for _, i := range sub.TopoOrder() {
+	e := GetEvaluator()
+	r := t.GraftWith(sub, at, e)
+	PutEvaluator(e)
+	return r
+}
+
+// GraftWith is Graft copying sub in e's root-first order (that of
+// TopoOrder), with the node index map in e's scratch, so it allocates
+// nothing once e is warm and t has room. It loads sub into e.
+func (t *Tree) GraftWith(sub *Tree, at int, e *Evaluator) int {
+	e.Load(sub)
+	e.idx = growInt32(e.idx, sub.Len())
+	root := e.order[0]
+	rootIdx := at
+	if nd := sub.Nodes[root]; nd.P != t.Nodes[at].P {
+		rootIdx = t.Add(nd.P, nd.Pin, at)
+	} else if nd.Pin >= 0 && t.Nodes[at].IsSteiner() {
+		t.Nodes[at].Pin = nd.Pin
+	}
+	e.idx[root] = int32(rootIdx)
+	for _, i := range e.order[1:] {
 		nd := sub.Nodes[i]
-		if i == sub.Root {
-			if nd.P == t.Nodes[at].P {
-				idx[i] = at
-				if nd.Pin >= 0 && t.Nodes[at].IsSteiner() {
-					t.Nodes[at].Pin = nd.Pin
-				}
-			} else {
-				idx[i] = t.Add(nd.P, nd.Pin, at)
-			}
-			rootIdx = idx[i]
-			continue
-		}
-		idx[i] = t.Add(nd.P, nd.Pin, idx[sub.Parent[i]])
+		e.idx[i] = int32(t.Add(nd.P, nd.Pin, int(e.idx[sub.Parent[i]])))
 	}
 	return rootIdx
 }

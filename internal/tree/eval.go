@@ -32,11 +32,18 @@ type Evaluator struct {
 	// nbr/xs/ys are neighbourhood scratch for median relocation.
 	nbr    []geom.Point
 	xs, ys []int64
+	// st and heap are SteinerizeWith's per-node state and its queue of
+	// nodes with a positive gain (see steinerNode).
+	st   []steinerNode
+	heap []int32
+	// idx maps a grafted tree's nodes to their indices in the host tree
+	// (GraftWith).
+	idx []int32
 }
 
 // evalPool recycles evaluators for the compatibility wrappers (Compact,
-// Steinerize, salt.Rebalance, policy.Select) so one-shot callers do not
-// pay a fresh scratch allocation per call.
+// Steinerize, Graft, salt.Rebalance, policy.Select) so one-shot callers
+// do not pay a fresh scratch allocation per call.
 var evalPool = sync.Pool{New: func() any { return new(Evaluator) }}
 
 // NewEvaluator returns a fresh evaluator. Long-lived owners (one local

@@ -130,7 +130,9 @@ func TestEvaluatorDuplicatePins(t *testing.T) {
 }
 
 // TestEvaluatorSteadyStateAllocs is the point of the type: once warm, a
-// Load-and-evaluate cycle performs no allocation at all.
+// Load-and-evaluate cycle performs no allocation at all, and neither do
+// Steinerization (insertions included) and grafting into a tree with
+// room for the nodes they add.
 func TestEvaluatorSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	net := randomNet(rng, 40, 5000)
@@ -147,5 +149,31 @@ func TestEvaluatorSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state evaluator cycle allocates %.1f times", allocs)
+	}
+
+	// A star over random pins has many sibling pairs that save wire.
+	star := Star(randomNet(rng, 40, 5000))
+	sub := randomTopology(rng, randomNet(rng, 12, 5000))
+	work := star.CloneCap(4 * (star.Len() + sub.Len()))
+	reset := func() {
+		work.Nodes = append(work.Nodes[:0], star.Nodes...)
+		work.Parent = append(work.Parent[:0], star.Parent...)
+		work.Root = star.Root
+	}
+	run := func() {
+		reset()
+		work.GraftWith(sub, 1, ev)
+		work.SteinerizeWith(ev)
+	}
+	// Warm the scratch, and check that the pass inserts Steiner points.
+	reset()
+	work.GraftWith(sub, 1, ev)
+	w := work.Wirelength()
+	work.SteinerizeWith(ev)
+	if work.Wirelength() >= w {
+		t.Fatalf("Steinerize saved no wire (%d → %d); the guard would not cover insertions", w, work.Wirelength())
+	}
+	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+		t.Fatalf("graft and Steinerize into a tree with room allocate %.1f times", allocs)
 	}
 }

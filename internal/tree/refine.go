@@ -84,34 +84,130 @@ func (t *Tree) Steinerize() {
 	PutEvaluator(e)
 }
 
-// SteinerizeWith is Steinerize evaluating through e's scratch adjacency.
+// steinerNode is one node's state in SteinerizeWith: its children are
+// e.child[lo:hi], and (a, b) is its best sibling pair with saving gain
+// (0 when no pair saves anything).
+type steinerNode struct {
+	lo, hi int32
+	a, b   int32
+	gain   int64
+}
+
+// SteinerizeWith is Steinerize evaluating through e's scratch.
+//
+// Each insertion takes the greatest saving over all sibling pairs of the
+// tree; ties go to the lowest parent index, then to the first pair
+// (i < j) in the parent's child list, which is in index order. The tree
+// is loaded once: e keeps every node's child list and best pair, and a
+// heap of the nodes with a saving, ordered by (gain descending, node
+// ascending), yields the next insertion. Inserting s under v moves v's
+// children a and b under s, so only v's list changes — it loses a and b
+// and gains s at its end, s having the largest index — and only v, the
+// heap's top, and s are rescanned.
 func (t *Tree) SteinerizeWith(e *Evaluator) {
-	for {
-		e.Load(t)
-		bestGain := int64(0)
-		bestV, bestA, bestB := -1, -1, -1
-		var bestS geom.Point
-		for v := range t.Nodes {
-			kids := e.Children(v)
-			for i := 0; i < len(kids); i++ {
-				for j := i + 1; j < len(kids); j++ {
-					a, b := int(kids[i]), int(kids[j])
-					s := medianOf3(t.Nodes[v].P, t.Nodes[a].P, t.Nodes[b].P)
-					gain := geom.Dist(t.Nodes[v].P, s)
-					if gain > bestGain {
-						bestGain, bestV, bestA, bestB, bestS = gain, v, a, b, s
-					}
-				}
+	e.Load(t)
+	n := len(t.Nodes)
+	e.st = e.st[:0]
+	e.heap = e.heap[:0]
+	for v := 0; v < n; v++ {
+		e.st = append(e.st, steinerNode{lo: e.start[v], hi: e.start[v+1]})
+		if e.scanPairs(t, v) > 0 {
+			e.heap = append(e.heap, int32(v))
+		}
+	}
+	for i := len(e.heap)/2 - 1; i >= 0; i-- {
+		e.siftDown(i)
+	}
+	for len(e.heap) > 0 {
+		v := int(e.heap[0])
+		a, b := e.st[v].a, e.st[v].b
+		s := t.Add(medianOf3(t.Nodes[v].P, t.Nodes[a].P, t.Nodes[b].P), -1, v)
+		t.Parent[a] = s
+		t.Parent[b] = s
+		// v's list keeps its order without a and b; s goes last.
+		lo, hi := e.st[v].lo, e.st[v].hi
+		k := lo
+		for _, c := range e.child[lo:hi] {
+			if c != a && c != b {
+				e.child[k] = c
+				k++
 			}
 		}
-		if bestGain == 0 {
-			break
+		e.child[k] = int32(s)
+		e.st[v].hi = k + 1
+		end := int32(len(e.child))
+		e.child = append(e.child, a, b)
+		e.st = append(e.st, steinerNode{lo: end, hi: end + 2})
+		// A node leaves the heap for good once nothing saves: only v and
+		// s ever change again.
+		if e.scanPairs(t, v) == 0 {
+			last := len(e.heap) - 1
+			e.heap[0] = e.heap[last]
+			e.heap = e.heap[:last]
 		}
-		s := t.Add(bestS, -1, bestV)
-		t.Parent[bestA] = s
-		t.Parent[bestB] = s
+		e.siftDown(0)
+		if e.scanPairs(t, s) > 0 {
+			e.heap = append(e.heap, int32(s))
+			e.siftUp(len(e.heap) - 1)
+		}
 	}
 	t.CompactWith(e)
+}
+
+// scanPairs sets v's best sibling pair and its gain: the first maximum
+// saving in the pair order of SteinerizeWith, 0 when no pair saves
+// anything. It returns the gain.
+func (e *Evaluator) scanPairs(t *Tree, v int) int64 {
+	nd := &e.st[v]
+	kids := e.child[nd.lo:nd.hi]
+	p := t.Nodes[v].P
+	nd.gain = 0
+	for i, a := range kids {
+		pa := t.Nodes[a].P
+		for _, b := range kids[i+1:] {
+			if g := geom.Dist(p, medianOf3(p, pa, t.Nodes[b].P)); g > nd.gain {
+				nd.gain, nd.a, nd.b = g, a, b
+			}
+		}
+	}
+	return nd.gain
+}
+
+// before orders the Steinerization heap: greater gain first, then the
+// lower node index.
+func (e *Evaluator) before(x, y int32) bool {
+	gx, gy := e.st[x].gain, e.st[y].gain
+	return gx > gy || gx == gy && x < y
+}
+
+func (e *Evaluator) siftUp(i int) {
+	h := e.heap
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(h[i], h[p]) {
+			return
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+func (e *Evaluator) siftDown(i int) {
+	h := e.heap
+	for {
+		m := i
+		if l := 2*i + 1; l < len(h) && e.before(h[l], h[m]) {
+			m = l
+		}
+		if r := 2*i + 2; r < len(h) && e.before(h[r], h[m]) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }
 
 func medianOf3(a, b, c geom.Point) geom.Point {

@@ -3,6 +3,13 @@
 // exact evaluation of the two optimisation objectives (wirelength and
 // source-to-sink delay), structural validation, and delay-preserving
 // Steinerisation and cleanup passes.
+//
+// Steinerisation is incremental: it loads the tree's adjacency into an
+// Evaluator once, keeps each node's best sibling pair in a heap ordered
+// by (saving descending, node index ascending), and after each Steiner
+// point it inserts rescans only the two nodes whose child lists changed.
+// Within a node the first best pair in child-index order wins, so the
+// points, their order and the resulting tree do not depend on the heap.
 package tree
 
 import (
@@ -67,12 +74,21 @@ func New(p geom.Point, pin int) *Tree {
 }
 
 // Clone returns a deep copy of t.
-func (t *Tree) Clone() *Tree {
-	return &Tree{
-		Nodes:  append([]Node(nil), t.Nodes...),
-		Parent: append([]int(nil), t.Parent...),
+func (t *Tree) Clone() *Tree { return t.CloneCap(t.Len()) }
+
+// CloneCap returns a deep copy of t with room for n nodes, so that
+// growing the copy to n nodes (Add, Graft, Steinerize) does not
+// reallocate.
+func (t *Tree) CloneCap(n int) *Tree {
+	n = max(n, t.Len())
+	c := &Tree{
+		Nodes:  make([]Node, t.Len(), n),
+		Parent: make([]int, t.Len(), n),
 		Root:   t.Root,
 	}
+	copy(c.Nodes, t.Nodes)
+	copy(c.Parent, t.Parent)
+	return c
 }
 
 // Add appends a node at p realising pin (or -1 for Steiner) as a child of
